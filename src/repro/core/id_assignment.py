@@ -24,12 +24,12 @@ The paper's parameters: ``P = 10``, ``F = 90``-percentile,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..net.topology import Topology
-from ..perf import percentile_linear
+from ..perf import percentile_sorted
 from .id_tree import IdTree
 from .ids import Id, IdScheme, NULL_ID
 from .neighbor_table import UserRecord
@@ -43,8 +43,16 @@ PAPER_PERCENTILE = 90.0
 
 #: Signature of the query service: ``query(responder, target_prefix)``
 #: returns the records, among the responder's neighbors, whose IDs carry
-#: the target prefix (Section 3.1.1).
+#: the target prefix (Section 3.1.1).  Every returned record must carry
+#: the prefix: the collection step files answers by that promise.
 QueryFn = Callable[[UserRecord, Id], List[UserRecord]]
+
+#: Optional capability of a query service: ``exhaustive(prefix)`` is True
+#: when a query for ``prefix`` from any responder inside that subtree
+#: returns every record of the subtree except the responder's, and has no
+#: side effect (for example, draws no randomness).  The centralized
+#: controller offers it for subtrees small enough to answer in full.
+ExhaustiveFn = Callable[[Id], bool]
 
 
 @dataclass
@@ -105,60 +113,74 @@ class IdAssigner:
         topology: Topology,
         query: QueryFn,
         bootstrap: UserRecord,
+        exhaustive: Optional[ExhaustiveFn] = None,
     ) -> AssignmentOutcome:
         """Steps 1–3 for every digit ``0 .. D-2``; stops early when no
         subtree is close enough.  ``bootstrap`` is the record of a user
-        already in the group, provided by the key server."""
+        already in the group, provided by the key server.
+
+        ``exhaustive`` is the query service's optional capability (see
+        :data:`ExhaustiveFn`).  Once a refinement query of subtree ``S``
+        has drawn a whole-subtree answer, the pool holds all of ``S`` and
+        every later query of that pool's loop would return records it
+        already holds.  Those queries are still counted, because they are
+        protocol messages, but they are not issued.  The outcome is the
+        same with or without the capability."""
         outcome = AssignmentOutcome(NULL_ID)
         prefix = NULL_ID
-        known: Dict[Id, UserRecord] = {bootstrap.user_id: bootstrap}
+        # The known records carrying ``prefix``, in the order the joiner
+        # learned them.  After a digit is chosen, that subtree's pool holds
+        # exactly the known records carrying the extended prefix, in that
+        # order, so it seeds the next digit.
+        seeds = [bootstrap]
         for i in range(self.scheme.num_digits - 1):
-            decision = self._determine_digit(
-                i, prefix, joiner_host, joiner_access_rtt, topology, query, known
+            pools, queries = self._collect(i, prefix, query, exhaustive, seeds)
+            decision = self._decide(
+                i, pools, queries, joiner_host, joiner_access_rtt, topology
             )
             outcome.decisions.append(decision)
             if decision.chosen is None:
                 break
+            seeds = list(pools[decision.chosen].values())
             prefix = prefix.extend(decision.chosen)
         outcome.determined_prefix = prefix
         return outcome
 
-    def _determine_digit(
+    def _decide(
         self,
         i: int,
-        prefix: Id,
+        pools: Dict[int, Dict[Id, UserRecord]],
+        queries: int,
         joiner_host: int,
         joiner_access_rtt: float,
         topology: Topology,
-        query: QueryFn,
-        known: Dict[Id, UserRecord],
     ) -> DigitDecision:
-        pools = self._collect(i, prefix, query, known)
+        """Steps 2 & 3: gateway-to-gateway RTTs and the percentile rule.
+
+        ``r(u, w) = h(u, w) - h(u, gw_u) - h(w, gw_w)``, floored at zero:
+        the end-to-end ping RTT minus the two access RTTs, the remote one
+        read from the user record (Section 3.1.2).  All pools are pinged
+        in one batch.  Each pool's F-percentile is then taken on Python
+        floats with the exact arithmetic of ``np.percentile``'s linear
+        method.  RTTs are never NaN, so ``sorted`` orders them as
+        ``np.sort`` does."""
         decision = DigitDecision(
             digit_index=i,
             pools={j: len(p) for j, p in pools.items()},
             percentiles={},
             chosen=None,
-            queries=self._last_query_count,
+            queries=queries,
         )
-        # Steps 2 & 3: gateway-to-gateway RTTs and the percentile rule.
-        # The per-pool pings are batched (r(u, w) = h(u,w) - h(u,gw_u) -
-        # h(w,gw_w), floored at zero, with the scalar path's operand
-        # order), and the F-percentile uses the exact scalar equivalent of
-        # np.percentile's linear method.
+        records = [rec for pool in pools.values() for rec in pool.values()]
+        end_to_end = topology.rtt_many(joiner_host, [rec.host for rec in records])
+        access = np.array([rec.access_rtt for rec in records], dtype=np.float64)
+        rtts = np.maximum(0.0, (end_to_end - joiner_access_rtt) - access).tolist()
         best_digit, best_value = None, float("inf")
+        start = 0
         for j, pool in pools.items():
-            if not pool:
-                continue
-            records = list(pool.values())
-            end_to_end = topology.rtt_many(
-                joiner_host, [rec.host for rec in records]
-            )
-            access = np.array(
-                [rec.access_rtt for rec in records], dtype=np.float64
-            )
-            rtts = np.maximum(0.0, (end_to_end - joiner_access_rtt) - access)
-            f_ij = percentile_linear(rtts, self.percentile)
+            stop = start + len(pool)
+            f_ij = percentile_sorted(sorted(rtts[start:stop]), self.percentile)
+            start = stop
             decision.percentiles[j] = f_ij
             if f_ij < best_value:
                 best_digit, best_value = j, f_ij
@@ -166,76 +188,69 @@ class IdAssigner:
             decision.chosen = best_digit
         return decision
 
-    def _gateway_rtt(
-        self,
-        joiner_host: int,
-        joiner_access_rtt: float,
-        record: UserRecord,
-        topology: Topology,
-    ) -> float:
-        """``r(u, w)`` from Section 3.1.2, computed the way a real joiner
-        would: the end-to-end ping RTT minus the two access RTTs (the
-        remote one read from the user record)."""
-        end_to_end = topology.rtt(joiner_host, record.host)
-        return max(0.0, end_to_end - joiner_access_rtt - record.access_rtt)
-
     # ------------------------------------------------------------------
     def _collect(
         self,
         i: int,
         prefix: Id,
         query: QueryFn,
-        known: Dict[Id, UserRecord],
-    ) -> Dict[int, Dict[Id, UserRecord]]:
+        exhaustive: Optional[ExhaustiveFn],
+        seeds: List[UserRecord],
+    ) -> Tuple[Dict[int, Dict[Id, UserRecord]], int]:
         """Step 1: collect records from every ``(i, j)``-ID subtree.
 
-        Seeds the pools by querying known users that carry the current
-        prefix, then refines each subtree with targeted queries until it
-        has ``P`` records or has queried everyone collected from it.
+        Seeds the pools with the known records carrying the current
+        prefix and queries the first of them, then refines each subtree
+        with targeted queries until it has ``P`` records or has queried
+        everyone collected from it.  Returns the pools (subtree digit ->
+        records, in the order collected) and the number of queries.
         """
-        self._last_query_count = 0
         pools: Dict[int, Dict[Id, UserRecord]] = {}
-        pd = prefix.digits
-        npd = len(pd)
 
-        def absorb(record: UserRecord) -> None:
-            uid = record.user_id
-            rd = uid.digits
-            if rd[:npd] != pd:
-                return
-            known[uid] = record
-            pool = pools.get(rd[i])
-            if pool is None:
-                pool = pools[rd[i]] = {}
-            pool[uid] = record
+        def absorb(records: Iterable[UserRecord]) -> None:
+            for record in records:
+                uid = record.user_id
+                pool = pools.get(uid.digits[i])
+                if pool is None:
+                    pool = pools[uid.digits[i]] = {}
+                pool[uid] = record
 
         # Initial phase: one query to a known user carrying the prefix
         # (Section 3.1.1).  K-consistency of the responder's table makes a
         # single response discover every populated (i, j)-ID subtree.
-        seeds = [r for r in known.values() if r.user_id.digits[:npd] == pd]
-        for seed in seeds:
-            absorb(seed)
-        queried = set()
-        if seeds:
-            self._last_query_count += 1
-            queried.add(seeds[0].user_id)
-            for record in query(seeds[0], prefix):
-                absorb(record)
+        absorb(seeds)
+        queried = {seeds[0].user_id}
+        queries = 1
+        absorb(query(seeds[0], prefix))
 
-        for j in list(pools):
-            pool = pools[j]
-            queried = set(queried)
-            while len(pool) < self.collect_target:
-                target = next(
-                    (r for uid, r in pool.items() if uid not in queried), None
-                )
-                if target is None:
+        target = self.collect_target
+        for j, pool in pools.items():
+            subtree = prefix.extend(j)
+            order = list(pool)  # query order: the pool's collection order
+            k = 0
+            while len(pool) < target:
+                while k < len(order) and order[k] in queried:
+                    k += 1
+                if k == len(order):
                     break  # queried everyone collected from this subtree
-                queried.add(target.user_id)
-                self._last_query_count += 1
-                for record in query(target, prefix.extend(j)):
-                    absorb(record)
-        return pools
+                uid = order[k]
+                queried.add(uid)
+                queries += 1
+                size = len(pool)
+                # Every record of a refinement answer carries the target
+                # prefix, so the whole answer lands in this pool.
+                pool.update([(r.user_id, r) for r in query(pool[uid], subtree)])
+                if exhaustive is not None and exhaustive(subtree):
+                    # The pool now holds the whole subtree: each remaining
+                    # query of this loop, one per unqueried member, would
+                    # return only records it holds.  Pools are disjoint, so
+                    # no later loop reads their ``queried`` marks.
+                    if len(pool) < target:
+                        queries += sum(u not in queried for u in pool)
+                    break
+                if len(pool) != size:
+                    order = list(pool)
+        return pools, queries
 
 
 def synthesize_clustered_ids(

@@ -93,15 +93,7 @@ class Group:
         table = self.tables.get(responder.user_id)
         if table is None:
             return []
-        tp = target_prefix.digits
-        n = len(tp)
-        if n == 0:
-            return list(table.all_records())
-        return [
-            record
-            for record in table.all_records()
-            if record.user_id.digits[:n] == tp
-        ]
+        return table.records_with_prefix(target_prefix)
 
     # ------------------------------------------------------------------
     # Join

@@ -188,6 +188,41 @@ class NeighborTable:
             self._records_cache = cache
         return iter(cache)
 
+    def records_with_prefix(self, prefix: Id) -> List[UserRecord]:
+        """The records whose IDs carry ``prefix``, in :meth:`all_records`
+        order: the answer to a Section-3.1.1 query.
+
+        A record sits in row ``i`` iff its ID shares exactly ``i`` leading
+        digits with the owner's.  Let ``L`` be the common-prefix length of
+        the owner's ID and ``prefix``.  If the owner carries the prefix,
+        the matches are exactly the records in rows ``>= len(prefix)``.
+        Otherwise every match shares exactly ``L`` digits with the owner
+        and has digit ``L`` equal to ``prefix[L]``, so all of them sit in
+        the ``(L, prefix[L])``-entry.
+        """
+        pd = prefix.digits
+        n = len(pd)
+        shared = 0
+        for a, b in zip(self._own_digits, pd):
+            if a != b:
+                break
+            shared += 1
+        if shared == n:
+            return [
+                record
+                for (row, _), e in self._entries.items()
+                if row >= n
+                for _, record in e.neighbors
+            ]
+        e = self._entries.get((shared, pd[shared]))
+        if e is None:
+            return []
+        return [
+            record
+            for _, record in e.neighbors
+            if record.user_id.digits[:n] == pd
+        ]
+
     def num_neighbors(self) -> int:
         return sum(len(e.neighbors) for e in self._entries.values())
 
@@ -205,6 +240,10 @@ class NeighborTable:
         if e is None:
             e = self._entries[slot] = _Entry()
         elif record.user_id in e.ids:
+            return False
+        elif len(e.neighbors) >= self.k and rtt >= e.neighbors[-1][0]:
+            # The stable sort would place it last and the pop drop it
+            # again: the table would not change.
             return False
         e.neighbors.append((rtt, record))
         e.neighbors.sort(key=_RTT_KEY)

@@ -910,11 +910,7 @@ class UserNode(TransportNode):
     def _on_query(self, src: int, query: m.QueryMsg) -> None:
         matches: Tuple[UserRecord, ...] = ()
         if self.table is not None:
-            found = [
-                r
-                for r in self.table.all_records()
-                if query.target_prefix.is_prefix_of(r.user_id)
-            ]
+            found = self.table.records_with_prefix(query.target_prefix)
             if self.record is not None and query.target_prefix.is_prefix_of(
                 self.record.user_id
             ):

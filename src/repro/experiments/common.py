@@ -162,15 +162,23 @@ class CentralizedController:
         self.records: Dict[Id, UserRecord] = {}
 
     def _query(self, responder: UserRecord, prefix: Id) -> List[UserRecord]:
-        members = [
-            self.records[uid]
-            for uid in self.id_tree.users_in_subtree(prefix)
-            if uid != responder.user_id
-        ]
+        """The subtree's users minus the responder, sampled down to
+        ``sample_limit`` records when larger."""
+        uids = self.id_tree.users_in_subtree(prefix)  # a fresh set copy
+        # Discarding leaves the iteration order of the rest unchanged.
+        uids.discard(responder.user_id)
+        members = list(uids)
         if len(members) > self.sample_limit:
             picks = self.rng.choice(len(members), self.sample_limit, replace=False)
-            members = [members[int(i)] for i in picks]
-        return members
+            return [self.records[members[k]] for k in picks.tolist()]
+        return list(map(self.records.__getitem__, members))
+
+    def exhaustive(self, prefix: Id) -> bool:
+        """The query service's exhaustive capability
+        (:data:`repro.core.id_assignment.ExhaustiveFn`): a subtree of at
+        most ``sample_limit + 1`` users is answered in full to any of its
+        members and draws no randomness."""
+        return self.id_tree.subtree_size(prefix) <= self.sample_limit + 1
 
     def join(self, host: int) -> Id:
         access = self.topology.access_rtt(host)
@@ -180,7 +188,12 @@ class CentralizedController:
             ids = list(self.records)
             bootstrap = self.records[ids[int(self.rng.integers(0, len(ids)))]]
             outcome = self.assigner.determine_prefix(
-                host, access, self.topology, self._query, bootstrap
+                host,
+                access,
+                self.topology,
+                self._query,
+                bootstrap,
+                exhaustive=self.exhaustive,
             )
             user_id = complete_user_id(
                 self.id_tree, outcome.determined_prefix, self.rng

@@ -58,8 +58,10 @@ class ModifiedKeyTree:
         self._id_tree = IdTree(scheme)
         self._versions: Dict[Id, int] = {}
         self._secrets: Dict[Id, bytes] = {}
-        self._pending_joins: List[Id] = []
-        self._pending_leaves: List[Id] = []
+        # Queued requests as insertion-ordered sets (dict keys): batch
+        # order is semantic, and membership tests must be O(1).
+        self._pending_joins: Dict[Id, None] = {}
+        self._pending_leaves: Dict[Id, None] = {}
         self.interval = 0
 
     # ------------------------------------------------------------------
@@ -71,21 +73,20 @@ class ModifiedKeyTree:
         joining user its keys at join time (Section 3.1.4) — but auxiliary
         keys only change at the end of the interval."""
         self.scheme.validate_user_id(user_id)
-        if user_id in self._id_tree.user_ids:
+        if user_id in self._id_tree:
             if user_id in self._pending_leaves:
                 # Rejoin within the interval: the structural leave never
                 # happened, so cancel it — but keep the u-node queued as
                 # changed, which still rotates its whole key path at the
                 # batch (conservatively preserving forward and backward
                 # secrecy for the time it spent outside the group).
-                self._pending_leaves.remove(user_id)
-                if user_id not in self._pending_joins:
-                    self._pending_joins.append(user_id)
+                del self._pending_leaves[user_id]
+                self._pending_joins.setdefault(user_id)
                 return
             raise ValueError(f"user {user_id} already in key tree")
         if user_id in self._pending_joins:
             raise ValueError(f"user {user_id} already has a pending join")
-        self._pending_joins.append(user_id)
+        self._pending_joins[user_id] = None
         self._id_tree.add_user(user_id)
         self._install_node(user_id)
         # K-nodes created by this join get keys now, so the joining user
@@ -97,11 +98,11 @@ class ModifiedKeyTree:
 
     def request_leave(self, user_id: Id) -> None:
         """Queue a leave for the current rekey interval."""
-        if user_id not in self._id_tree.user_ids:
+        if user_id not in self._id_tree:
             raise ValueError(f"user {user_id} not in key tree")
         if user_id in self._pending_leaves:
             raise ValueError(f"user {user_id} already has a pending leave")
-        self._pending_leaves.append(user_id)
+        self._pending_leaves[user_id] = None
 
     def _install_node(self, node_id: Id) -> None:
         self._versions[node_id] = 0
@@ -158,10 +159,10 @@ class ModifiedKeyTree:
     def process_batch(self) -> RekeyMessage:
         """End the current rekey interval: apply queued joins/leaves,
         update keys, and generate the rekey message."""
-        joins = self._pending_joins
-        leaves = self._pending_leaves
-        self._pending_joins = []
-        self._pending_leaves = []
+        joins = list(self._pending_joins)
+        leaves = list(self._pending_leaves)
+        self._pending_joins = {}
+        self._pending_leaves = {}
 
         changed_unodes: List[Id] = list(joins)
         for user_id in leaves:

@@ -79,8 +79,10 @@ class OriginalKeyTree:
         self._root: Optional[int] = None
         self._next_id = 0
         self._user_leaf: Dict[Hashable, int] = {}
-        self._pending_joins: List[Hashable] = []
-        self._pending_leaves: List[Hashable] = []
+        # Queued requests as insertion-ordered sets (dict keys): batch
+        # order is semantic, and membership tests must be O(1).
+        self._pending_joins: Dict[Hashable, None] = {}
+        self._pending_leaves: Dict[Hashable, None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -177,14 +179,14 @@ class OriginalKeyTree:
     def request_join(self, user: Hashable) -> None:
         if user in self._user_leaf or user in self._pending_joins:
             raise ValueError(f"user {user!r} already present or pending")
-        self._pending_joins.append(user)
+        self._pending_joins[user] = None
 
     def request_leave(self, user: Hashable) -> None:
         if user not in self._user_leaf:
             raise ValueError(f"user {user!r} not in tree")
         if user in self._pending_leaves:
             raise ValueError(f"user {user!r} already leaving")
-        self._pending_leaves.append(user)
+        self._pending_leaves[user] = None
 
     # ------------------------------------------------------------------
     # Batch rekeying
@@ -192,10 +194,10 @@ class OriginalKeyTree:
     def process_batch(self, rng: Optional[np.random.Generator] = None) -> OriginalBatchResult:
         # lint: disable=determinism-unseeded-rng -- interactive-use fallback; every driver/test threads a seeded Generator
         rng = rng if rng is not None else np.random.default_rng()
-        joins = self._pending_joins
-        leaves = self._pending_leaves
-        self._pending_joins = []
-        self._pending_leaves = []
+        joins = list(self._pending_joins)
+        leaves = list(self._pending_leaves)
+        self._pending_joins = {}
+        self._pending_leaves = {}
 
         changed: Set[int] = set()  # nodes whose ancestors must rekey
 

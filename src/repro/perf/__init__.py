@@ -6,6 +6,6 @@ results — the perf-equivalence tests in ``tests/test_perf_equivalence.py``
 hold each helper to that contract.
 """
 
-from .percentile import percentile_linear
+from .percentile import percentile_linear, percentile_sorted
 
-__all__ = ["percentile_linear"]
+__all__ = ["percentile_linear", "percentile_sorted"]

@@ -27,8 +27,18 @@ def percentile_linear(values: Union[Sequence[float], np.ndarray], q: float) -> f
     Bitwise-equal to ``float(np.percentile(values, q))`` for finite input
     and ``0 <= q <= 100``.
     """
-    a = np.sort(np.asarray(values, dtype=np.float64))
-    n = a.shape[0]
+    return percentile_sorted(np.sort(np.asarray(values, dtype=np.float64)), q)
+
+
+def percentile_sorted(a: Union[Sequence[float], np.ndarray], q: float) -> float:
+    """:func:`percentile_linear` of values already sorted ascending.
+
+    ``a`` may be a list of Python floats: the arithmetic is the same IEEE
+    double arithmetic on either, so the result is bitwise-equal.  The
+    ID-assignment hot path sorts its small per-subtree pools with
+    ``sorted`` and calls this directly.
+    """
+    n = len(a)
     virtual = (q / 100.0) * (n - 1)
     lo = int(virtual)
     gamma = virtual - lo

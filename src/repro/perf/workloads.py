@@ -306,6 +306,21 @@ def _setup_build_group_256(ctx: dict) -> Callable[[], object]:
     )
 
 
+def _setup_rekey_cost_256(ctx: dict) -> Callable[[], object]:
+    """One Fig. 12 pass at 256 members on the ``small`` grid: controller
+    ID assignment for the base group and every grid point's joiners,
+    then the three key trees' batch rekeying."""
+    from ..experiments.common import build_topology
+    from ..experiments.config import SMALL_GTITM
+    from ..experiments.rekey_cost import default_grid, run_rekey_cost
+
+    topology = build_topology("gtitm", 256, seed=7, gtitm_params=SMALL_GTITM)
+    grid = default_grid(256, 4)
+    return lambda: run_rekey_cost(
+        256, grid=grid, runs=1, seed=101, topology=topology
+    )
+
+
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
@@ -364,6 +379,13 @@ WORKLOADS: Dict[str, Workload] = {
             "build_group_256",
             3,
             _setup_build_group_256,
+            group_size=256,
+            micro=False,
+        ),
+        Workload(
+            "rekey_cost_256",
+            5,
+            _setup_rekey_cost_256,
             group_size=256,
             micro=False,
         ),

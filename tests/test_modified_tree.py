@@ -137,6 +137,20 @@ class TestBatchSemantics:
                 enc.encrypting_key_id
             )
 
+    def test_rejoin_cancels_the_pending_leave(self):
+        tree = settled_fig4_tree()
+        uid = Id([2, 2])
+        tree.request_leave(uid)
+        tree.request_join(uid)  # rejoin within the interval
+        tree.request_leave(uid)  # a fresh leave is accepted again
+        with pytest.raises(ValueError):
+            tree.request_leave(uid)
+        tree.process_batch()
+        assert uid not in tree.user_ids
+        tree.request_join(uid)  # pending state was cleared by the batch
+        tree.process_batch()
+        assert uid in tree.user_ids
+
     def test_batch_of_everything_leaves_empty_tree(self):
         tree = settled_fig4_tree()
         for uid in FIG4_USERS:

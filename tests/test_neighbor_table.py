@@ -175,3 +175,89 @@ class TestConsistency:
             tables = build_consistent_tables(SCHEME, records, rtt, k=k)
             tree = IdTree(SCHEME, [r.user_id for r in records])
             assert check_k_consistency(tables, tree, k) == []
+
+
+# ----------------------------------------------------------------------
+# Fast paths held to their brute-force definitions
+# ----------------------------------------------------------------------
+_digits = st.tuples(*(st.integers(0, SCHEME.base - 1),) * SCHEME.num_digits)
+
+#: One offer: (user digits, host, RTT).  Few distinct RTTs, so ties and
+#: offers equal to an entry's worst RTT are common.
+_offers = st.lists(
+    st.tuples(
+        _digits, st.integers(0, 50), st.sampled_from([1.0, 2.0, 2.5, 4.0, 7.0])
+    ),
+    max_size=60,
+)
+
+
+def _owner(digits):
+    return UserRecord(Id(digits) if digits is not None else NULL_ID, 99)
+
+
+class _ReferenceTable:
+    """The append/sort/pop insert rule, written out plainly."""
+
+    def __init__(self, table):
+        self.slot_for = table.slot_for
+        self.k = table.k
+        self.entries = {}
+
+    def insert(self, record, rtt):
+        slot = self.slot_for(record)
+        if slot is None:
+            return False
+        neighbors = self.entries.setdefault(slot, [])
+        if any(r.user_id == record.user_id for _, r in neighbors):
+            return False
+        neighbors.append((rtt, record))
+        neighbors.sort(key=lambda pair: pair[0])
+        if len(neighbors) > self.k:
+            dropped = neighbors.pop()
+            return dropped[1].user_id != record.user_id
+        return True
+
+
+class TestFastPathsMatchBruteForce:
+    @given(
+        st.one_of(st.none(), _digits),
+        st.integers(1, 3),
+        _offers,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_insert_matches_append_sort_pop(self, owner, k, offers):
+        table = NeighborTable(SCHEME, _owner(owner), k=k)
+        reference = _ReferenceTable(table)
+        for digits, host, rtt in offers:
+            record = UserRecord(Id(digits), host)
+            assert table.insert(record, rtt) == reference.insert(record, rtt)
+        for (i, j), neighbors in reference.entries.items():
+            kept = list(zip(table.entry_rtts(i, j), table.entry(i, j)))
+            assert kept == neighbors
+
+    @given(
+        st.one_of(st.none(), _digits),
+        st.integers(1, 3),
+        _offers,
+        st.lists(_digits, max_size=6),
+        st.lists(st.integers(0, SCHEME.base - 1), max_size=SCHEME.num_digits),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_records_with_prefix_matches_scan(
+        self, owner, k, offers, removals, prefix_digits
+    ):
+        table = NeighborTable(SCHEME, _owner(owner), k=k)
+        for digits, host, rtt in offers:
+            table.insert(UserRecord(Id(digits), host), rtt)
+        for digits in removals:
+            table.remove(Id(digits))
+        # Prefixes both on and off the owner's own path.
+        prefixes = [Id(prefix_digits)]
+        if owner is not None:
+            prefixes += [Id(owner[:n]) for n in range(SCHEME.num_digits + 1)]
+        for prefix in prefixes:
+            scan = [
+                r for r in table.all_records() if prefix.is_prefix_of(r.user_id)
+            ]
+            assert table.records_with_prefix(prefix) == scan

@@ -96,6 +96,22 @@ class TestSingleOperations:
         with pytest.raises(ValueError):
             tree.request_join(5)  # already a member
 
+    def test_pending_requests_clear_with_the_batch(self):
+        tree = balanced_tree(8)
+        tree.request_join("n")
+        with pytest.raises(ValueError):
+            tree.request_join("n")  # already pending
+        tree.request_leave(3)
+        tree.process_batch(np.random.default_rng(0))
+        tree.request_leave("n")
+        tree.request_join(3)  # left in the last batch, may come back
+        tree.process_batch(np.random.default_rng(0))
+        tree.request_join("n")
+        tree.request_leave(3)
+        tree.process_batch(np.random.default_rng(0))
+        assert "n" in tree.users and 3 not in tree.users
+        assert tree.check_invariants() == []
+
 
 class TestBatchSemantics:
     def test_equal_joins_and_leaves_preserve_structure(self):

@@ -26,7 +26,7 @@ from repro.experiments.parallel import ParallelRunner, replication_seeds
 from repro.faults import FaultPlan
 from repro.metrics.export import write_latency_comparison
 from repro.net.topology import Topology, validate_rtt_matrix
-from repro.perf import percentile_linear
+from repro.perf import percentile_linear, percentile_sorted
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +96,9 @@ def test_percentile_linear_matches_numpy(values, q):
     ours = percentile_linear(values, q)
     numpy_result = float(np.percentile(np.asarray(values, dtype=np.float64), q))
     assert ours == numpy_result  # bitwise, not approx
+    # The ID-assignment path sorts Python floats itself and interpolates
+    # on them: the same IEEE arithmetic, so the same result.
+    assert percentile_sorted(sorted(values), q) == numpy_result
 
 
 # ----------------------------------------------------------------------

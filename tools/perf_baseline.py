@@ -138,6 +138,13 @@ def main(argv=None) -> int:
         "embedded pre medians",
     )
     parser.add_argument(
+        "--baseline-commit",
+        default="f09176b",
+        help="the commit the pre medians were measured on, recorded in the "
+        "output (default: f09176b, the commit of the embedded medians; "
+        "name the --pre-tree checkout's commit when measuring live)",
+    )
+    parser.add_argument(
         "--pre-file",
         type=Path,
         default=None,
@@ -226,7 +233,7 @@ def main(argv=None) -> int:
 
     payload = {
         "schema": "repro-bench-v1",
-        "baseline_commit": "f09176b",
+        "baseline_commit": args.baseline_commit,
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
