@@ -27,7 +27,12 @@ from ..net.topology import Topology
 from .id_assignment import AssignmentOutcome, IdAssigner, complete_user_id
 from .id_tree import IdTree
 from .ids import Id, IdScheme, NULL_ID
-from .neighbor_table import NeighborTable, UserRecord, build_server_table
+from .neighbor_table import (
+    NeighborTable,
+    UserRecord,
+    build_server_table,
+    common_prefix_lengths,
+)
 
 #: The paper's table redundancy parameter (Section 4).
 PAPER_K = 4
@@ -67,7 +72,12 @@ class Group:
             scheme, server_host, (), self._rtt, k
         )
         self._clock = 0.0
-        self._host_of_user: Dict[Id, int] = {}
+        # Row m of each array belongs to the m-th member of ``tables``:
+        # its ID digits, its host, and its table's admission thresholds
+        # (NeighborTable.attach_thresholds).  Capacity grows by doubling.
+        self._digits = np.zeros((0, scheme.num_digits), dtype=np.int64)
+        self._hosts = np.zeros(0, dtype=np.intp)
+        self._thresholds = np.zeros((0, scheme.num_digits, scheme.base))
 
     # ------------------------------------------------------------------
     def _rtt(self, a: int, b: int) -> float:
@@ -127,31 +137,62 @@ class Group:
     def _admit(self, record: UserRecord) -> None:
         user_id = record.user_id
         self.id_tree.add_user(user_id)
+        others = list(self.records.values())
         self.records[user_id] = record
-        self._host_of_user[user_id] = record.host
+        tables = list(self.tables.values())
+        n = len(tables)
+        if n == len(self._hosts):
+            self._grow()
+        own = np.asarray(user_id.digits)
+        self._digits[n] = own
+        self._hosts[n] = record.host
         # Build the new user's table from the current population (the
         # consistent state the Silk join converges to).  Both RTT sweeps
         # are batched against the topology's dense matrix when available;
         # operand orientation matches the scalar calls they replace.
         table = NeighborTable(self.scheme, record, self.k)
-        others = [o for o in self.records.values() if o.user_id != user_id]
-        if others:
-            out_rtts = self.topology.rtt_many(
-                record.host, [o.host for o in others]
-            )
-            table.fill(zip(others, map(float, out_rtts)))
+        table.attach_thresholds(self._thresholds[n])
         self.tables[user_id] = table
-        # Everyone else (and the server) learns about the new user.
-        other_tables = [
-            t for oid, t in self.tables.items() if oid != user_id
-        ]
-        if other_tables:
-            in_rtts = self.topology.rtt_to_many(
-                record.host, [t.owner.host for t in other_tables]
-            )
-            for other_table, r in zip(other_tables, in_rtts):
-                other_table.insert(record, float(r))
+        if n:
+            digits, hosts = self._digits[:n], self._hosts[:n]
+            table.fill(others, digits, self.topology.rtt_many(record.host, hosts))
+            # Everyone else learns about the new user.  The record lands in
+            # the (lcp, own[lcp])-entry of each table, and only an RTT
+            # below that entry's threshold can change the table.
+            in_rtts = self.topology.rtt_to_many(record.host, hosts)
+            rows = common_prefix_lengths(digits, own)
+            limits = self._thresholds[np.arange(n), rows, own[rows]]
+            entering = np.flatnonzero(in_rtts < limits)
+            for m, rtt in zip(entering.tolist(), in_rtts[entering].tolist()):
+                tables[m].insert(record, rtt)
         self.server_table.insert(record, self._rtt(self.server_host, record.host))
+
+    def _grow(self) -> None:
+        """Double the capacity of the member arrays."""
+        capacity = max(2 * len(self._hosts), 16)
+        n = len(self.tables)
+        digits = np.zeros((capacity, self.scheme.num_digits), dtype=np.int64)
+        hosts = np.zeros(capacity, dtype=np.intp)
+        thresholds = np.full(
+            (capacity, self.scheme.num_digits, self.scheme.base), np.inf
+        )
+        digits[:n] = self._digits[:n]
+        hosts[:n] = self._hosts[:n]
+        thresholds[:n] = self._thresholds[:n]
+        self._digits, self._hosts, self._thresholds = digits, hosts, thresholds
+        for m, table in enumerate(self.tables.values()):
+            table.attach_thresholds(thresholds[m])
+
+    def _drop_table(self, user_id: Id) -> None:
+        """Remove a member's table and its row of the member arrays."""
+        m = list(self.tables).index(user_id)
+        self.tables.pop(user_id).attach_thresholds(None)
+        n = len(self.tables)
+        for array in (self._digits, self._hosts, self._thresholds):
+            array[m:n] = array[m + 1:n + 1]
+        self._thresholds[n] = np.inf
+        for row, table in enumerate(list(self.tables.values())[m:], start=m):
+            table.attach_thresholds(self._thresholds[row])
 
     # ------------------------------------------------------------------
     # Leave and failure
@@ -170,14 +211,14 @@ class Group:
             raise KeyError(f"user {user_id} not in group")
         del self.records[user_id]
         self.id_tree.remove_user(user_id)
-        self.tables.pop(user_id)
+        self._drop_table(user_id)
 
     def _remove(self, user_id: Id, repair: bool) -> None:
         if user_id not in self.records:
             raise KeyError(f"user {user_id} not in group")
         departed = self.records.pop(user_id)
         self.id_tree.remove_user(user_id)
-        self.tables.pop(user_id)
+        self._drop_table(user_id)
         for table in self.tables.values():
             if table.remove(user_id) and repair:
                 self._refill(table, departed)

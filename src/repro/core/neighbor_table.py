@@ -18,10 +18,14 @@ multicast delivery relies on; ``K > 1`` buys failure resilience.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
+
+import numpy as np
 
 from .id_tree import IdTree
 from .ids import Id, IdScheme
@@ -50,6 +54,18 @@ _RTT_KEY = itemgetter(0)
 
 #: Sort/search key for (digit, record) row pairs in StaticPrimaryTable.
 _DIGIT_KEY = itemgetter(0)
+
+_USER_ID = attrgetter("user_id")
+
+_INF = float("inf")
+
+
+def common_prefix_lengths(digits: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per row of the ``(n, D)`` digit matrix ``digits``, the length of
+    its common prefix with the ``D`` digits ``own``: the table row a
+    record of that ID takes in the table of the user ``own``
+    (:meth:`NeighborTable.slot_for`).  A row equal to ``own`` gets 0."""
+    return (digits != own).argmax(axis=1)
 
 
 @dataclass
@@ -81,6 +97,14 @@ class NeighborTable:
     The key server's table is modelled as a table whose owner ID is the
     null string: only row 0 is populated and no entry is skipped as "own
     digit" (the server has no digits).
+
+    A table may be given a ``(D, B)`` float row of *admission thresholds*
+    (:meth:`attach_thresholds`): element ``(i, j)`` is the worst RTT of
+    a full ``(i,j)``-entry, or ``inf`` while it holds fewer than ``K``.
+    An offer with an RTT at or above it cannot change the table, so
+    :class:`repro.core.membership.Group` uses the thresholds of all its
+    members to skip those offers in one array compare.  Only
+    :meth:`insert`, :meth:`fill` and :meth:`remove` write the row.
     """
 
     _mutation_epoch = 0  # class-wide; see the docstring
@@ -103,6 +127,20 @@ class NeighborTable:
         self._server_flag = owner.user_id.is_null
         self._own_digits = owner.user_id.digits
         self._depth = scheme.num_digits
+        self._thresholds: Optional[np.ndarray] = None
+
+    def attach_thresholds(self, row: Optional[np.ndarray]) -> None:
+        """From now on keep the admission thresholds (see the class
+        docstring) in ``row``, which must already hold this table's
+        current values; ``None`` stops keeping them."""
+        self._thresholds = row
+
+    def _update_threshold(self, slot: Tuple[int, int],
+                          neighbors: List[Tuple[float, UserRecord]]) -> None:
+        if self._thresholds is not None:
+            self._thresholds[slot] = (
+                neighbors[-1][0] if len(neighbors) >= self.k else _INF
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -242,56 +280,68 @@ class NeighborTable:
         elif record.user_id in e.ids:
             return False
         elif len(e.neighbors) >= self.k and rtt >= e.neighbors[-1][0]:
-            # The stable sort would place it last and the pop drop it
+            # A stable sort would place it last and the pop drop it
             # again: the table would not change.
             return False
-        e.neighbors.append((rtt, record))
-        e.neighbors.sort(key=_RTT_KEY)
+        neighbors = e.neighbors
+        insort(neighbors, (rtt, record), key=_RTT_KEY)  # after equal RTTs
         e.ids.add(record.user_id)
+        if len(neighbors) > self.k:
+            # The entry was full and the record beats its worst.
+            e.ids.discard(neighbors.pop()[1].user_id)
+        self._update_threshold(slot, neighbors)
         self._records_cache = None
         self._primaries_cache.clear()
         NeighborTable._mutation_epoch += 1
-        if len(e.neighbors) > self.k:
-            dropped = e.neighbors.pop()
-            e.ids.discard(dropped[1].user_id)
-            return dropped[1].user_id != record.user_id
         return True
 
-    def fill(self, pairs: Iterable[Tuple[UserRecord, float]]) -> None:
-        """Batch form of :meth:`insert` for table construction: offer many
-        ``(record, rtt)`` pairs at once.
+    def fill(self, records: Sequence[UserRecord], digits: np.ndarray,
+             rtts: np.ndarray) -> None:
+        """Build an empty user table from many offers at once:
+        ``records[n]``, whose ID digits are row ``n`` of the
+        ``(len(records), D)`` matrix ``digits``, at RTT ``rtts[n]``.
 
-        Each entry is sorted once and truncated to ``K``, instead of
-        re-sorting per insert.  Because the sort is stable and ties keep
-        offer order, the surviving neighbors and their order are exactly
-        what the equivalent sequence of :meth:`insert` calls would leave —
-        provided each user ID appears at most once in ``pairs`` (as in
-        table construction, where every known user is offered exactly
-        once; sequential inserts can re-admit an ID whose earlier record
-        was already evicted, which a single batched pass cannot see).
+        One lexsort orders the offers by (slot, RTT, offer index) and the
+        first ``K`` of each slot are kept; entries are created in the
+        order of their first offer.  That is exactly what offering the
+        records one by one to :meth:`insert` would leave (ties keep
+        offer order), provided each user ID appears at most once, as in
+        table construction, where every known user is offered once.
         """
+        if self._entries:
+            raise ValueError("fill() builds an empty table")
+        n, k, base = len(records), self.k, self.scheme.base
+        # A record's slot is (lcp, its digit at lcp).  The owner's own ID
+        # would land in (0, own[0]), which no other ID can enter.
+        rows = common_prefix_lengths(digits, np.array(self._own_digits))
+        slots = rows * base + digits[np.arange(n), rows]
+        own_slot = self._own_digits[0]
+        order = np.lexsort((rtts, slots))  # stable: ties keep offer order
+        sorted_slots = slots[order]
+        sorted_rtts = rtts[order].tolist()
+        starts = np.flatnonzero(np.diff(sorted_slots)) + 1
+        starts = [0] + starts.tolist() if n else []
+        order = order.tolist()
+        sorted_slots = sorted_slots.tolist()
+        # One group of offers per slot; entries are created in the order
+        # of their first offer.
+        groups = sorted(
+            (min(order[lo:hi]), sorted_slots[lo], lo, hi)
+            for lo, hi in zip(starts, starts[1:] + [n])
+        )
         entries = self._entries
-        slot_for = self.slot_for
-        for record, rtt in pairs:
-            slot = slot_for(record)
-            if slot is None:
+        thresholds = self._thresholds
+        for _, slot, lo, hi in groups:
+            if slot == own_slot:
                 continue
-            e = entries.get(slot)
-            if e is None:
-                e = entries[slot] = _Entry()
-            elif record.user_id in e.ids:
-                continue
-            e.neighbors.append((rtt, record))
-            e.ids.add(record.user_id)
-        k = self.k
-        for e in entries.values():
-            neighbors = e.neighbors
-            if len(neighbors) > 1:
-                neighbors.sort(key=_RTT_KEY)
-            if len(neighbors) > k:
-                for _, dropped in neighbors[k:]:
-                    e.ids.discard(dropped.user_id)
-                del neighbors[k:]
+            hi = min(hi, lo + k)
+            group = list(map(records.__getitem__, order[lo:hi]))
+            i, j = divmod(slot, base)
+            entries[(i, j)] = _Entry(
+                list(zip(sorted_rtts[lo:hi], group)), set(map(_USER_ID, group))
+            )
+            if thresholds is not None and hi - lo == k:
+                thresholds[i, j] = sorted_rtts[hi - 1]
         self._records_cache = None
         self._primaries_cache.clear()
         NeighborTable._mutation_epoch += 1
@@ -310,6 +360,7 @@ class NeighborTable:
                 e.ids.discard(user_id)
             else:
                 del self._entries[slot]
+            self._update_threshold(slot, kept)
         if removed:
             self._records_cache = None
             self._primaries_cache.clear()

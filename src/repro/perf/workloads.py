@@ -306,6 +306,16 @@ def _setup_build_group_256(ctx: dict) -> Callable[[], object]:
     )
 
 
+def _setup_build_group_1024(ctx: dict) -> Callable[[], object]:
+    """The Section-3.1 join protocol at 1024 members: ``build_group``,
+    topology included, where the admit offers dominate."""
+    from ..experiments.common import build_group, build_topology
+
+    return lambda: build_group(
+        build_topology("gtitm", 1024, seed=20), 1024, seed=20
+    )
+
+
 def _setup_rekey_cost_256(ctx: dict) -> Callable[[], object]:
     """One Fig. 12 pass at 256 members on the ``small`` grid: controller
     ID assignment for the base group and every grid point's joiners,
@@ -380,6 +390,13 @@ WORKLOADS: Dict[str, Workload] = {
             3,
             _setup_build_group_256,
             group_size=256,
+            micro=False,
+        ),
+        Workload(
+            "build_group_1024",
+            3,
+            _setup_build_group_1024,
+            group_size=1024,
             micro=False,
         ),
         Workload(

@@ -236,6 +236,38 @@ class TestFastPathsMatchBruteForce:
             kept = list(zip(table.entry_rtts(i, j), table.entry(i, j)))
             assert kept == neighbors
 
+    @given(_digits, st.integers(1, 3), _offers)
+    @settings(max_examples=200, deadline=None)
+    def test_fill_matches_inserts_and_keeps_thresholds(self, owner, k, offers):
+        """One fill equals the same offers inserted one by one (the
+        owner's own ID, when offered, is skipped), and the attached
+        threshold row holds each full entry's worst RTT, else inf."""
+        distinct = list({digits: (digits, host, rtt) for digits, host, rtt in offers}.values())
+        records = [UserRecord(Id(digits), host) for digits, host, _ in distinct]
+        rtts = np.array([rtt for _, _, rtt in distinct])
+        sequential = NeighborTable(SCHEME, _owner(owner), k=k)
+        for record, rtt in zip(records, rtts.tolist()):
+            sequential.insert(record, rtt)
+        batched = NeighborTable(SCHEME, _owner(owner), k=k)
+        row = np.full((SCHEME.num_digits, SCHEME.base), np.inf)
+        batched.attach_thresholds(row)
+        epoch = NeighborTable._mutation_epoch
+        digits = np.array([d for d, _, _ in distinct], dtype=np.int64)
+        digits = digits.reshape(len(distinct), SCHEME.num_digits)
+        batched.fill(records, digits, rtts)
+        assert NeighborTable._mutation_epoch == epoch + 1
+        assert list(batched._entries) == list(sequential._entries)
+        expected = np.full_like(row, np.inf)
+        for slot, entry in sequential._entries.items():
+            assert batched._entries[slot].neighbors == entry.neighbors
+            assert batched._entries[slot].ids == entry.ids
+            if len(entry.neighbors) == k:
+                expected[slot] = entry.neighbors[-1][0]
+        np.testing.assert_array_equal(row, expected)
+        if batched._entries:
+            with pytest.raises(ValueError):
+                batched.fill(records, digits, rtts)
+
     @given(
         st.one_of(st.none(), _digits),
         st.integers(1, 3),

@@ -404,7 +404,11 @@ def test_fill_matches_sequential_inserts(seed):
     for record, rtt in offers:
         sequential.insert(record, rtt)
     batched = NeighborTable(scheme, owner, k=2)
-    batched.fill(offers)
+    batched.fill(
+        [record for record, _ in offers],
+        np.array([record.user_id.digits for record, _ in offers]),
+        np.array([rtt for _, rtt in offers]),
+    )
 
     assert batched._entries.keys() == sequential._entries.keys()
     for slot, entry in sequential._entries.items():
