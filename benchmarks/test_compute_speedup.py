@@ -18,9 +18,6 @@ the same machine regime:
   NamedTuples there, so the ceiling is Amdahl-bound (~1.9x measured);
   this floor catches regressions in the lazy-materialization path.
 
-Skips (never fails) when numpy is not installed — the ``fast`` extra is
-optional by design.
-
 Run with the bench lane::
 
     PYTHONPATH=src pytest benchmarks/test_compute_speedup.py -m bench
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compute import ComputeUnavailable, create_backend
+from repro.compute import create_backend
 from repro.perf.workloads import measure
 
 #: Required numpy-over-reference ratio of best-of-N session-call times
@@ -50,10 +47,7 @@ REPEATS = 9
 
 @pytest.fixture(scope="module")
 def numpy_backend():
-    try:
-        return create_backend("numpy")
-    except ComputeUnavailable:
-        pytest.skip("fast extra not installed; numpy backend unavailable")
+    return create_backend("numpy")
 
 
 @pytest.fixture(scope="module")

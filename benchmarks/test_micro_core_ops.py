@@ -13,7 +13,7 @@ import time
 
 from repro.core.ids import Id, PAPER_SCHEME
 from repro.core.splitting import next_hop_needs, run_split_rekey
-from repro.core.tmesh import plan_session, rekey_session
+from repro.core.tmesh import rekey_session
 from repro.experiments.common import build_group, build_topology
 from repro.keytree.modified_tree import ModifiedKeyTree
 from repro.keytree.original_tree import OriginalKeyTree
@@ -133,17 +133,6 @@ def test_bench_user_stress_indexed_1024(benchmark, world_1024):
         f"index no faster than scan: {indexed_time:.6f}s vs {scan_time:.6f}s"
     )
     benchmark.extra_info["scan_over_indexed"] = scan_time / indexed_time
-
-
-def test_bench_planned_rekey_session_1024(benchmark, world_1024):
-    """Rekey fan-out with a reusable SessionPlan (periodic rekeying with
-    unchanged tables — the paper's steady-state case)."""
-    topology, group, reference = world_1024
-    plan = plan_session(group.server_table, group.tables)
-    session = benchmark(
-        rekey_session, group.server_table, group.tables, topology, plan=plan
-    )
-    assert session.receipts == reference.receipts
 
 
 def test_bench_single_join_id_assignment(benchmark, world):

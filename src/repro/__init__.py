@@ -10,9 +10,10 @@ The package implements the complete system the paper describes:
 * :mod:`repro.keytree` — the modified key tree, the original
   Wong–Gouda–Lam baseline, and the cluster rekeying heuristic;
 * :mod:`repro.crypto` — real (stdlib-only) authenticated symmetric crypto;
-* :mod:`repro.net` — GT-ITM transit-stub and PlanetLab-like topologies;
+* :mod:`repro.net` — GT-ITM transit-stub and PlanetLab-like topologies,
+  and the discrete event loop (:class:`~repro.net.eventloop.EventLoop`);
 * :mod:`repro.alm` — the NICE and IP-multicast baselines;
-* :mod:`repro.sim` — a discrete event simulator;
+* :mod:`repro.sim` — message-passing nodes over the event loop;
 * :mod:`repro.metrics` / :mod:`repro.experiments` — everything needed to
   regenerate the paper's Figs. 6–14;
 * :mod:`repro.verify` / :mod:`repro.trace` — opt-in runtime invariant
@@ -57,6 +58,7 @@ from .keytree import (
     RekeyMessage,
 )
 from .net import (
+    EventLoop,
     MatrixTopology,
     PlanetLabTopology,
     Topology,
@@ -67,7 +69,7 @@ from .alm import NiceHierarchy, nice_multicast
 from .alm.reliable import ReliabilityConfig, ReliableSession, ReliableTmeshNode
 from .faults import FaultPlan, FaultStats
 from .metrics import RepairStats
-from .sim import Network, Node, Simulator
+from .sim import Network, Node
 from .trace import MetricsRegistry, TraceContext, tracing
 
 __version__ = "1.0.0"
@@ -113,7 +115,7 @@ __all__ = [
     "RepairStats",
     "Network",
     "Node",
-    "Simulator",
+    "EventLoop",
     "MetricsRegistry",
     "TraceContext",
     "tracing",

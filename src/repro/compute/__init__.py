@@ -19,10 +19,9 @@ Two backends ship:
 * ``"numpy"`` — batch-vectorized kernels (:mod:`repro.compute.
   numpy_backend`): bit-packed ID/prefix arrays (uint64 codes + length
   columns), whole-receipt-set FORWARD fan-out, batched split masks, and
-  array-based rekey node marking.  Requires :mod:`numpy` (the ``fast``
-  optional extra); falls back to ``"reference"`` gracefully when numpy
-  is absent or when a session violates the Theorem-1 preconditions the
-  batch formulation relies on.
+  array-based rekey node marking.  It delegates to ``"reference"`` when
+  a session violates the Theorem-1 preconditions the batch formulation
+  relies on.
 
 Equivalence discipline: both backends must produce **bitwise identical**
 results — same receipts in the same order, same edge lists, same
@@ -48,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Union
 
 __all__ = [
     "ComputeBackend",
-    "ComputeUnavailable",
     "available_backends",
     "create_backend",
     "default_backend",
@@ -56,10 +54,6 @@ __all__ = [
     "resolve_backend",
     "set_default_backend",
 ]
-
-
-class ComputeUnavailable(RuntimeError):
-    """A named backend exists but cannot run here (missing dependency)."""
 
 
 class ComputeBackend:
@@ -80,10 +74,6 @@ class ComputeBackend:
                        processing_delay=0.0, failed_hosts=None):
         """One fault-free multicast session over 1-consistent tables:
         the fast path of :func:`repro.core.tmesh.run_multicast`."""
-        raise NotImplementedError
-
-    def replay_plan(self, plan, topology, processing_delay=0.0):
-        """Replay a :class:`repro.core.tmesh.SessionPlan`."""
         raise NotImplementedError
 
     # Rekey-message splitting (Fig. 5 / Theorem 2) ---------------------
@@ -125,8 +115,7 @@ def register_backend(name: str, factory: Callable[[], ComputeBackend]) -> None:
 
 
 def available_backends() -> List[str]:
-    """Names resolvable by :func:`create_backend` (built-ins included,
-    whether or not their dependencies are importable)."""
+    """Names resolvable by :func:`create_backend` (built-ins included)."""
     return sorted(set(_BUILTIN_MODULES) | set(_FACTORIES))
 
 
@@ -134,8 +123,7 @@ def create_backend(name: str) -> ComputeBackend:
     """Instantiate a backend by name (one shared instance per name —
     backends are stateless except for memoized compilation caches).
 
-    Raises :class:`ComputeUnavailable` when the backend's dependency is
-    missing and ``KeyError`` for unknown names.
+    Raises ``KeyError`` for unknown names.
     """
     instance = _INSTANCES.get(name)
     if instance is not None:
@@ -169,19 +157,12 @@ def default_backend() -> ComputeBackend:
     """The backend used when a call site passes ``compute=None``.
 
     Resolution order: :func:`set_default_backend`, the ``REPRO_COMPUTE``
-    environment variable, ``"reference"``.  A requested ``"numpy"``
-    backend whose dependency is missing degrades to ``"reference"``
-    (graceful-fallback contract of the ``fast`` extra) — by design this
-    can never make a run fail, only run slower.
+    environment variable, ``"reference"``.
     """
     global _DEFAULT
-    if _DEFAULT is not None:
-        return _DEFAULT
-    name = _DEFAULT_NAME or os.environ.get("REPRO_COMPUTE") or "reference"
-    try:
+    if _DEFAULT is None:
+        name = _DEFAULT_NAME or os.environ.get("REPRO_COMPUTE") or "reference"
         _DEFAULT = create_backend(name)
-    except ComputeUnavailable:
-        _DEFAULT = create_backend("reference")
     return _DEFAULT
 
 

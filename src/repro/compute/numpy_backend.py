@@ -44,20 +44,15 @@ from collections import deque
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.ids import Id
 from ..core.neighbor_table import NeighborTable
 from ..core.splitting import SplitSessionResult
-from ..core.tmesh import OverlayEdge, Receipt, SessionPlan, SessionResult
-from . import ComputeBackend, ComputeUnavailable, register_backend
+from ..core.tmesh import OverlayEdge, Receipt, SessionResult
+from . import ComputeBackend, register_backend
+from .packing import MASKS, pack_ids
 from .reference import ReferenceBackend
-
-if np is not None:
-    from .packing import MASKS, pack_ids
 
 
 # ----------------------------------------------------------------------
@@ -537,16 +532,6 @@ class NumpyBackend(ComputeBackend):
             ),
         )
 
-    def replay_plan(
-        self, plan: SessionPlan, topology, processing_delay: float = 0.0
-    ) -> SessionResult:
-        # A plan replay is defined to equal the classic run bitwise, so
-        # the same compiled fan-out serves both (and is shared with it
-        # through the sender-table cache).
-        return self.fanout_session(
-            plan.sender_table, plan.tables, topology, processing_delay
-        )
-
     # -- Rekey-message splitting ---------------------------------------
     def split_rekey(
         self, session: SessionResult, message, track_sets: bool = False
@@ -633,11 +618,6 @@ class NumpyBackend(ComputeBackend):
 
 
 def make_backend() -> NumpyBackend:
-    if np is None:
-        raise ComputeUnavailable(
-            "the 'numpy' compute backend requires numpy "
-            "(pip install repro[fast]); falling back to 'reference'"
-        )
     return NumpyBackend()
 
 

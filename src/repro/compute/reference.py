@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.ids import Id
 from ..core.splitting import SplitSessionResult, split_for_next_hop
-from ..core.tmesh import OverlayEdge, Receipt, SessionPlan, SessionResult
+from ..core.tmesh import OverlayEdge, Receipt, SessionResult
 from . import ComputeBackend, register_backend
 
 
@@ -51,78 +51,6 @@ class ReferenceBackend(ComputeBackend):
         return _fanout_scalar(
             sender_table, tables, topology, processing_delay, failed_hosts
         )
-
-    def replay_plan(
-        self, plan: SessionPlan, topology, processing_delay: float = 0.0
-    ) -> SessionResult:
-        """Replay a :class:`~repro.core.tmesh.SessionPlan` against a
-        topology's delays (the pre-seam ``SessionPlan._replay``)."""
-        sender = plan.sender
-        sender_id = sender.user_id
-        result = SessionResult(sender=sender_id, sender_host=sender.host)
-        edges_append = result.edges.append
-        receipts = result.receipts
-        duplicates = result.duplicate_copies
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        schedule_for = plan._schedule_for
-        schedules = plan._schedules
-        ow_rows = topology.one_way_rows()
-        one_way_delay = topology.one_way_delay if ow_rows is None else None
-        queue: List[Tuple[float, int, Id, int, int, Id]] = []
-        seq = 0
-
-        # Seed: the sender forwards at level 0 / time 0.
-        now = 0.0
-        src_id, src_host = sender_id, sender.host
-        sched = plan._sender_schedule
-        while True:
-            if ow_rows is not None:
-                delays = ow_rows[src_host]
-                for i, nbr_id, nbr_host in sched:
-                    base_arrival = now + processing_delay + delays[nbr_host]
-                    edges_append(
-                        OverlayEdge(
-                            src_id, nbr_id, src_host, nbr_host, i, now, base_arrival
-                        )
-                    )
-                    heappush(
-                        queue, (base_arrival, seq, nbr_id, nbr_host, i + 1, src_id)
-                    )
-                    seq += 1
-            else:
-                for i, nbr_id, nbr_host in sched:
-                    base_arrival = (
-                        now + processing_delay + one_way_delay(src_host, nbr_host)
-                    )
-                    edges_append(
-                        OverlayEdge(
-                            src_id, nbr_id, src_host, nbr_host, i, now, base_arrival
-                        )
-                    )
-                    heappush(
-                        queue, (base_arrival, seq, nbr_id, nbr_host, i + 1, src_id)
-                    )
-                    seq += 1
-            # Drain deliveries until one triggers a new forward.
-            while True:
-                if not queue:
-                    return result
-                arrival, _, member_id, host, level, upstream = heappop(queue)
-                if member_id in receipts or member_id == sender_id:
-                    duplicates[member_id] = duplicates.get(member_id, 0) + 1
-                    continue
-                receipts[member_id] = Receipt(
-                    member_id, host, arrival, level, upstream
-                )
-                memo = schedules.get(member_id)
-                sched = memo[level] if memo is not None else None
-                if sched is None:
-                    sched = schedule_for(member_id, level)
-                if sched:
-                    now = arrival
-                    src_id, src_host = member_id, host
-                    break
 
     # ------------------------------------------------------------------
     # Rekey-message splitting (Fig. 5 / Theorem 2)

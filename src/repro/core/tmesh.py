@@ -16,16 +16,9 @@ the sender receives exactly one copy.  The session runner below records
 enough to let the test suite check that theorem, Lemmas 1/2, and every
 latency metric of Section 4.1 (user stress, application-layer delay, RDP).
 
-Two runners are provided:
-
-* :func:`run_multicast` — the fully general event loop (failures, backup
-  neighbors, fault injection);
-* :class:`SessionPlan` — a reusable fan-out schedule for replaying many
-  fault-free sessions over the same ``(sender_table, tables)`` pair, as
-  the figure experiments do.  The plan memoizes each member's per-level
-  forwarding schedule and reads delays from the topology's dense one-way
-  matrix when available, producing results identical to
-  :func:`run_multicast` at a fraction of the cost.
+:func:`run_multicast` is the one runner: fault-free sessions go to the
+:mod:`repro.compute` backend's fan-out kernel; backup recovery and fault
+injection run the general event loop below.
 """
 
 from __future__ import annotations
@@ -460,114 +453,16 @@ def run_multicast(
     return result
 
 
-class SessionPlan:
-    """A reusable fan-out schedule over a fixed ``(sender_table, tables)``.
-
-    The figure experiments replay thousands of fault-free sessions in
-    which only the topology delays (or the rekey message) change between
-    batches; the forwarding schedule — which rows each member forwards and
-    who the primaries are — depends only on the tables.  The plan memoizes
-    each member's flattened per-level schedule on first use, so repeated
-    :meth:`run` calls skip every ``row_primaries`` table scan.
-
-    The plan is valid while the tables are unchanged; build a fresh plan
-    after joins/leaves mutate them.  :meth:`run` produces a
-    :class:`SessionResult` identical (receipts, edges, duplicates, and
-    their ordering) to :func:`run_multicast` on the same inputs with no
-    failures and no fault injection.
-    """
-
-    def __init__(self, sender_table: NeighborTable, tables: Dict[Id, NeighborTable]):
-        self.sender_table = sender_table
-        self.tables = tables
-        self.sender = sender_table.owner
-        num_digits = sender_table.scheme.num_digits
-        self._num_digits = num_digits
-        # Flattened (row, user_id, host, record) schedule of the sender.
-        self._sender_schedule = self._flatten(sender_table, 0)
-        # member user ID -> per-level memo of flattened schedules.
-        self._schedules: Dict[Id, List[Optional[Tuple]]] = {}
-
-    @staticmethod
-    def _flatten(table: NeighborTable, level: int) -> Tuple:
-        num_digits = table.scheme.num_digits
-        if level >= num_digits:
-            return ()
-        rows = (0,) if table.is_server_table else range(level, num_digits)
-        out = []
-        for i in rows:
-            for _, primary in table.row_primaries(i):
-                out.append((i, primary.user_id, primary.host))
-        return tuple(out)
-
-    def _schedule_for(self, member_id: Id, level: int) -> Tuple:
-        memo = self._schedules.get(member_id)
-        if memo is None:
-            memo = [None] * (self._num_digits + 1)
-            self._schedules[member_id] = memo
-        sched = memo[level]
-        if sched is None:
-            table = self.tables.get(member_id)
-            sched = () if table is None else self._flatten(table, level)
-            memo[level] = sched
-        return sched
-
-    def run(
-        self,
-        topology: Topology,
-        processing_delay: float = 0.0,
-        compute=None,
-    ) -> SessionResult:
-        """Replay one fault-free session against ``topology``'s delays.
-
-        ``compute`` selects the :mod:`repro.compute` backend (name,
-        instance, or ``None`` for the process default); every backend
-        replays bitwise identically.
-        """
-        result = resolve_backend(compute).replay_plan(
-            self, topology, processing_delay
-        )
-        ctx = _verify_hooks.ACTIVE
-        if ctx is not None:
-            ctx.observe_session(
-                result,
-                self.sender_table,
-                self.tables,
-                topology,
-                processing_delay,
-            )
-        tctx = _trace_hooks.ACTIVE
-        if tctx is not None:
-            tctx.observe_session(result, topology, planned=True)
-        return result
-
-
-def plan_session(
-    sender_table: NeighborTable, tables: Dict[Id, NeighborTable]
-) -> SessionPlan:
-    """Build a :class:`SessionPlan` for repeated fault-free replays."""
-    return SessionPlan(sender_table, tables)
-
-
 def rekey_session(
     server_table: NeighborTable,
     tables: Dict[Id, NeighborTable],
     topology: Topology,
     processing_delay: float = 0.0,
-    plan: Optional[SessionPlan] = None,
     compute=None,
 ) -> SessionResult:
-    """A rekey-transport session: the key server is the sender.
-
-    Pass a :class:`SessionPlan` built over the same ``(server_table,
-    tables)`` to reuse its memoized fan-out schedule across repeated
-    sessions (identical results, much faster)."""
+    """A rekey-transport session: the key server is the sender."""
     if not server_table.is_server_table:
         raise ValueError("rekey transport must be sourced at the key server")
-    if plan is not None:
-        if plan.sender_table is not server_table:
-            raise ValueError("plan was built for a different server table")
-        return plan.run(topology, processing_delay, compute=compute)
     return run_multicast(
         server_table, tables, topology, processing_delay, compute=compute
     )

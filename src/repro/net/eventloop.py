@@ -1,20 +1,22 @@
-"""Standalone event-loop backend for the scheduling seam.
+"""The virtual-clock event loop: the one engine behind the scheduling seam.
 
-A deterministic virtual-clock event loop that implements
-:class:`repro.net.scheduling.Scheduler` with **no** ``repro.sim``
-import: the reliable T-mesh transport (and, later, the always-on
-rekeying service) can run on it without pulling in the discrete event
-simulator.  The API is asyncio-flavoured — :meth:`EventLoop.time`,
+The paper: "For efficiency, we wrote our own discrete event-driven
+simulator.  We simulate the sending and the reception of a message as
+events."  :class:`EventLoop` is that engine — a time-ordered timer
+queue with deterministic FIFO tie-breaking that implements
+:class:`repro.net.scheduling.Scheduler`.  Every scheduling backend runs
+on it: ``"eventloop"`` (this module), ``"simulator"`` (the same loop
+behind :class:`repro.sim.node.Network`, see :mod:`repro.sim.adapter`)
+and ``"asyncio"`` (:class:`repro.service.aio.AsyncioScheduler`, a
+subclass that adds wall-clock pacing and socket IO for the live
+service).  The API is asyncio-flavoured — :meth:`EventLoop.time`,
 :meth:`EventLoop.call_soon` / :meth:`EventLoop.call_later` /
 :meth:`EventLoop.call_at` return cancellable :class:`TimerHandle`\\ s,
-mirroring ``asyncio.AbstractEventLoop`` — so a future service mode can
-swap the virtual clock for a real one and back the same callbacks with
-sockets.
+mirroring ``asyncio.AbstractEventLoop``.
 
-Semantics match the simulator engine exactly (the cross-backend
-conformance suite in ``tests/test_scheduler_conformance.py`` and the
-stateful model in ``tests/test_scheduler_stateful.py`` hold both to the
-same reference):
+Semantics (held by the cross-backend conformance suite in
+``tests/test_scheduler_conformance.py`` and the stateful model in
+``tests/test_scheduler_stateful.py``):
 
 * callbacks fire in ``(when, sequence)`` order — simultaneous timers
   run in scheduling order (deterministic FIFO tie-breaking);
@@ -105,15 +107,12 @@ class EventLoop:
 
     def step(self) -> bool:
         """Run the next pending timer; False when the queue is empty."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle._cancelled:
-                continue
-            self.now = handle.when
-            self.events_processed += 1
-            handle._callback()
-            return True
-        return False
+        handle = self._peek()
+        if handle is None:
+            return False
+        heapq.heappop(self._heap)
+        self._fire(handle)
+        return True
 
     def run(
         self,
@@ -123,10 +122,9 @@ class EventLoop:
         """Run timers until the queue drains, virtual time passes
         ``until``, or ``max_events`` have run.  Returns timers executed.
 
-        Traced runs emit the same ``sim.run`` span and ``sim.events``
-        counter as the simulator backend — the span is keyed on the
-        scheduling interface, so traces stay byte-identical across
-        backends."""
+        Traced runs emit a ``sim.run`` span and a ``sim.events``
+        counter — keyed on the scheduling interface, so traces stay
+        byte-identical across backends."""
         tctx = _trace_hooks.ACTIVE
         if tctx is None:
             return self._drain(until, max_events)
@@ -151,11 +149,23 @@ class EventLoop:
                 continue
             if until is not None and head.when > until:
                 break
-            self.step()
+            heapq.heappop(self._heap)
+            self._fire(head)
             executed += 1
         if until is not None and (not self._heap or self._heap[0].when > until):
             self.now = max(self.now, until)
         return executed
+
+    def _peek(self) -> Optional[TimerHandle]:
+        """The next live timer (cancelled heads are discarded)."""
+        while self._heap and self._heap[0]._cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0] if self._heap else None
+
+    def _fire(self, handle: TimerHandle) -> None:
+        self.now = handle.when
+        self.events_processed += 1
+        handle._callback()
 
     @property
     def pending(self) -> int:

@@ -10,22 +10,20 @@ concrete :class:`Transport` fabric — so protocol code depends on the
 seam, never on a particular engine behind it (DESIGN.md §3: protocol
 layers stay independent of orchestration layers).
 
-Three backends implement the seam:
+One engine, :class:`repro.net.eventloop.EventLoop`, implements
+:class:`Scheduler`; three backends assemble it with a transport:
 
-* ``"simulator"`` — a thin adapter over the existing discrete event
-  simulator (:mod:`repro.sim.adapter`): :class:`repro.sim.engine.
-  Simulator` already *is* a :class:`Scheduler`, and :class:`repro.sim.
-  node.Network` subclasses :class:`Transport` without overriding its
-  delivery logic, so behaviour is byte-identical to the pre-seam code —
-  arbitrated by the committed golden traces and the fixed-seed oracle
-  suite.
-* ``"eventloop"`` — a standalone virtual-clock event loop
-  (:mod:`repro.net.eventloop`) with an asyncio-flavoured API and **no**
-  ``repro.sim`` import, the substrate the service mode grew from.
-* ``"asyncio"`` — a real asyncio loop (:mod:`repro.service.aio`) that
-  runs the same virtual-clock contract deterministically by default and
-  can pace against the wall clock (``realtime=True``) for the live
-  service; its transport subclass pushes frames over asyncio streams.
+* ``"eventloop"`` — the loop plus a plain :class:`Transport`
+  (:mod:`repro.net.eventloop`);
+* ``"simulator"`` — the loop plus :class:`repro.sim.node.Network`, a
+  :class:`Transport` subclass that only adds the ``simulator`` attribute
+  name (:mod:`repro.sim.adapter`) — the default of the orchestration
+  layers;
+* ``"asyncio"`` — :class:`repro.service.aio.AsyncioScheduler`, an
+  :class:`~repro.net.eventloop.EventLoop` subclass that runs the same
+  virtual-clock contract by default and can pace against the wall clock
+  (``realtime=True``) for the live service; its transport subclass
+  pushes frames over asyncio streams.
 
 Backends register themselves in a name -> factory registry
 (:func:`register_backend`); :func:`create_backend` resolves the two
@@ -121,10 +119,9 @@ class MessageStats:
 class Transport:
     """Hosts exchanging messages over a topology with per-link latency.
 
-    This is the single delivery implementation both backends share: a
-    message arrives one-way-delay later unless the destination detached,
-    the legacy ``drop_filter`` eats it, or the installed
-    :class:`~repro.faults.FaultPlan` drops it.  The fault plan injects
+    This is the single delivery implementation every backend shares: a
+    message arrives one-way-delay later unless the destination detached
+    or the installed :class:`~repro.faults.FaultPlan` drops it.  The fault plan injects
     here — at the transport seam — so loss, delay, reordering,
     duplication, and crash windows behave identically under every
     scheduler.
@@ -135,8 +132,6 @@ class Transport:
         self.topology = topology
         self._nodes: Dict[int, "TransportNode"] = {}
         self.stats = MessageStats()
-        #: Optional fault hook: return True to drop a message.
-        self.drop_filter: Optional[Callable[[int, int, Any], bool]] = None
         #: Optional declarative fault schedule (see :mod:`repro.faults`).
         self.fault_plan: Optional["FaultPlan"] = None
 
@@ -158,13 +153,10 @@ class Transport:
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Queue a message; it arrives after the topology one-way delay
-        unless the destination detached, the drop filter eats it, or the
-        fault plan drops it.  The fault plan may also deliver the message
-        late (delay/reorder) or more than once (duplication)."""
+        unless the destination detached or the fault plan drops it.  The
+        fault plan may also deliver the message late (delay/reorder) or
+        more than once (duplication)."""
         self.stats.sent += 1
-        if self.drop_filter is not None and self.drop_filter(src, dst, payload):
-            self.stats.dropped += 1
-            return
         plan = self.fault_plan
         if plan is None:
             extra_delays: Tuple[float, ...] = (0.0,)
@@ -250,8 +242,8 @@ _BACKEND_FACTORIES: Dict[str, BackendFactory] = {}
 
 #: Built-in backends resolved by lazy import on first use; the imported
 #: module calls :func:`register_backend` at import time.  Lazy loading is
-#: deliberate: ``repro.net`` must never import ``repro.sim`` eagerly
-#: (the layering-import lint rule), and the event loop stays optional.
+#: deliberate: ``repro.net`` must never import ``repro.sim`` or
+#: ``repro.service`` eagerly (the layering-import lint rule).
 _LAZY_BACKENDS: Dict[str, str] = {
     "simulator": "repro.sim.adapter",
     "eventloop": "repro.net.eventloop",

@@ -111,16 +111,6 @@ def _setup_rekey_1024(ctx: dict) -> Callable[[], object]:
     return lambda: rekey_session(group.server_table, group.tables, topology)
 
 
-def _setup_planned_rekey_1024(ctx: dict) -> Callable[[], object]:
-    from ..core.tmesh import plan_session, rekey_session
-
-    topology, group = _group(ctx, 1024)
-    plan = plan_session(group.server_table, group.tables)
-    return lambda: rekey_session(
-        group.server_table, group.tables, topology, plan=plan
-    )
-
-
 def _setup_tmesh_128(ctx: dict) -> Callable[[], object]:
     from ..core.tmesh import rekey_session
 
@@ -335,12 +325,6 @@ WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
         Workload("rekey_session_1024", 15, _setup_rekey_1024, group_size=1024),
-        Workload(
-            "planned_rekey_session_1024",
-            15,
-            _setup_planned_rekey_1024,
-            group_size=1024,
-        ),
         Workload("tmesh_session_128", 15, _setup_tmesh_128, group_size=128),
         Workload("split_predicate", 30, _setup_split_predicate),
         Workload("split_session", 15, _setup_split_session),

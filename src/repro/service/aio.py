@@ -1,14 +1,15 @@
 """The ``"asyncio"`` scheduling backend: a real asyncio event loop
 behind the :class:`repro.net.scheduling.Scheduler` contract.
 
-Two drive modes, one timer queue:
+:class:`AsyncioScheduler` is a :class:`repro.net.eventloop.EventLoop`
+with two drive modes over the one timer queue it inherits:
 
-* **Deterministic (default).**  Timers fire in ``(when, sequence)``
-  order with virtual timestamps — byte-identical to the ``"simulator"``
-  and ``"eventloop"`` backends, which is how the backend passes the
-  cross-backend conformance lane (``pytest -q -m conformance``)
-  unchanged.  Without streams attached no asyncio loop is even spun up:
-  the drain is a plain heap loop, so conformance-scale tests do not leak
+* **Deterministic (default).**  The inherited virtual-clock drain:
+  timers fire in ``(when, sequence)`` order with virtual timestamps,
+  exactly as on the ``"simulator"`` and ``"eventloop"`` backends, which
+  is how the backend passes the cross-backend conformance lane
+  (``pytest -q -m conformance``) unchanged.  Without streams attached no
+  asyncio loop is even spun up, so conformance-scale tests do not leak
   event-loop file descriptors.
 * **Realtime (``realtime=True``).**  The drain paces timers against the
   wall clock (``time_scale`` real seconds per virtual unit) through a
@@ -28,18 +29,19 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
-import numpy as np
-
-from ..net.eventloop import TimerHandle
+from ..net.eventloop import EventLoop, TimerHandle
 from ..net.scheduling import SchedulingBackend, Transport, register_backend
-from ..trace import hooks as _trace_hooks
 
 
-class AsyncioScheduler:
-    """A :class:`~repro.net.scheduling.Scheduler` driven by asyncio."""
+class AsyncioScheduler(EventLoop):
+    """The :class:`~repro.net.eventloop.EventLoop` driven by asyncio.
+
+    It inherits the timer queue and the virtual-clock drain and adds
+    only what the live service needs: a wakeup on every new timer, the
+    coroutine :meth:`drain` with realtime pacing, wall-clock firing
+    times, and the inflight count of stream frames."""
 
     def __init__(
         self,
@@ -48,7 +50,7 @@ class AsyncioScheduler:
         time_scale: float = 1e-3,
         stall_timeout: float = 5.0,
     ):
-        self.seed = seed
+        super().__init__(seed)
         #: Pace timers against the wall clock instead of collapsing
         #: virtual time (the live-service mode).
         self.realtime = realtime
@@ -60,12 +62,6 @@ class AsyncioScheduler:
         self.stall_timeout = stall_timeout
         #: Clock capability flag (:func:`repro.net.scheduling.clock_of`).
         self.clock = "wall" if realtime else "virtual"
-        self.now = 0.0
-        self._heap: List[TimerHandle] = []
-        self._seq = itertools.count()
-        self.events_processed = 0
-        #: backend-local randomness, a deterministic function of ``seed``
-        self.rng = np.random.default_rng(seed)
         #: Frames written to a stream but not yet dispatched on arrival.
         self.inflight = 0
         #: Set by :class:`~repro.service.transport.StreamTransport` once
@@ -78,85 +74,26 @@ class AsyncioScheduler:
         self._wall_start: Optional[float] = None
         self._draining = False
 
-    # ------------------------------------------------------------------
-    # The Scheduler interface
-    # ------------------------------------------------------------------
-    def schedule(
-        self, delay: float, action: Callable[[], None]
-    ) -> TimerHandle:
-        """Run ``action`` after ``delay`` virtual time units."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, action)
-
     def schedule_at(
         self, time: float, action: Callable[[], None]
     ) -> TimerHandle:
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at {time}, current time is {self.now}"
-            )
-        handle = TimerHandle(time, next(self._seq), action)
-        heapq.heappush(self._heap, handle)
+        handle = super().schedule_at(time, action)
         self._kick()
         return handle
-
-    def step(self) -> bool:
-        """Run the next pending timer; False when the queue is empty."""
-        handle = self._peek()
-        if handle is None:
-            return False
-        heapq.heappop(self._heap)
-        self._fire(handle)
-        return True
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Drain timers (same contract as every backend: stop when the
-        queue empties, virtual time passes ``until``, or ``max_events``
-        ran; advance ``now`` to ``until`` when the queue drains early).
-        Emits the backend-independent ``sim.run`` span when traced."""
-        tctx = _trace_hooks.ACTIVE
-        if tctx is None:
-            return self._run(until, max_events)
-        with tctx.span("sim.run") as span:
-            executed = self._run(until, max_events)
-            span.set(events=executed, now_ms=self.now)
-        tctx.registry.inc("sim.events", executed)
-        return executed
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for h in self._heap if not h._cancelled)
-
-    # ------------------------------------------------------------------
-    # asyncio-compatible spellings (mirror repro.net.eventloop.EventLoop)
-    # ------------------------------------------------------------------
-    def time(self) -> float:
-        """The loop's clock (``asyncio.AbstractEventLoop.time``)."""
-        return self.now
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
-        """Schedule ``callback(*args)`` at the current instant; it runs
-        after everything already queued for this instant (FIFO)."""
-        return self.call_at(self.now, callback, *args)
-
-    def call_later(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> TimerHandle:
-        if args:
-            return self.schedule(delay, lambda: callback(*args))
-        return self.schedule(delay, callback)
-
-    def call_at(
-        self, when: float, callback: Callable[..., None], *args: Any
-    ) -> TimerHandle:
-        if args:
-            return self.schedule_at(when, lambda: callback(*args))
-        return self.schedule_at(when, callback)
+        """Drain timers (the :meth:`EventLoop.run` contract and
+        ``sim.run`` span).  With realtime pacing, streams attached or
+        frames on the wire the drain is the coroutine :meth:`drain`;
+        otherwise it is the plain heap loop, with no asyncio machinery
+        and no loop file descriptors."""
+        # Defined on this class, not inherited: perfbench/layers.py
+        # times the service drain by wrapping AsyncioScheduler.run.
+        return super().run(until, max_events)
 
     # ------------------------------------------------------------------
     # Live-service surface
@@ -256,39 +193,17 @@ class AsyncioScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run(self, until: Optional[float], max_events: Optional[int]) -> int:
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
         if self.realtime or self.io_bound or self.inflight:
             return self.run_coro(self.drain(until, max_events))
-        # Pure virtual-clock drain: no asyncio machinery, no loop fds —
-        # byte-identical to repro.net.eventloop.EventLoop._drain.
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            head = self._heap[0]
-            if head._cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and head.when > until:
-                break
-            heapq.heappop(self._heap)
-            self._fire(head)
-            executed += 1
-        if until is not None and (not self._heap or self._heap[0].when > until):
-            self.now = max(self.now, until)
-        return executed
-
-    def _peek(self) -> Optional[TimerHandle]:
-        while self._heap and self._heap[0]._cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        return super()._drain(until, max_events)
 
     def _fire(self, handle: TimerHandle) -> None:
-        if self.realtime and self._loop is not None and self._wall_start is not None:
-            # Honest late-fire timestamps: a timer that ran behind the
-            # wall schedule reports the time it actually fired.  This is
-            # the one place wall time leaks into ``now`` — hence the
-            # "wall" clock capability.
+        if self._wall_start is not None:
+            # A realtime drain is pacing.  Honest late-fire timestamps: a
+            # timer that ran behind the wall schedule reports the time it
+            # actually fired.  This is the one place wall time leaks into
+            # ``now`` — hence the "wall" clock capability.
             elapsed = (self._loop.time() - self._wall_start) / self.time_scale
             self.now = max(handle.when, elapsed)
         else:

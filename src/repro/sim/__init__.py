@@ -1,13 +1,10 @@
-"""Discrete event simulation: engine, message-passing nodes, and the
+"""Message-passing nodes over the virtual-clock event loop, and the
 ``"simulator"`` backend of the :mod:`repro.net.scheduling` seam."""
 
 from .adapter import simulator_backend
-from .engine import Event, Simulator
 from .node import MessageStats, Network, Node
 
 __all__ = [
-    "Event",
-    "Simulator",
     "MessageStats",
     "Network",
     "Node",

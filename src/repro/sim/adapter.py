@@ -1,30 +1,31 @@
-"""The ``"simulator"`` scheduling backend: the discrete event simulator
-exposed through the :mod:`repro.net.scheduling` seam.
+"""The ``"simulator"`` scheduling backend: the virtual-clock
+:class:`~repro.net.eventloop.EventLoop` behind a
+:class:`~repro.sim.node.Network`.
 
-The adapter is deliberately thin — :class:`~repro.sim.engine.Simulator`
-already implements the :class:`~repro.net.scheduling.Scheduler`
-protocol, and :class:`~repro.sim.node.Network` subclasses the shared
-:class:`~repro.net.scheduling.Transport` fabric without overriding its
-delivery logic — so sessions built through this backend are
-byte-identical to sessions that constructed the simulator directly.
-The committed golden traces (``tests/fixtures/trace_*.jsonl``) and the
-fixed-seed oracle suite (``tools/check_invariants.py``) arbitrate that
-claim; the cross-backend conformance suite holds this backend and
-:mod:`repro.net.eventloop` to the same observable behaviour.
+The adapter is deliberately thin — :class:`~repro.sim.node.Network`
+subclasses the shared :class:`~repro.net.scheduling.Transport` fabric
+without overriding its delivery logic, so the backend differs from
+``"eventloop"`` only in the ``simulator`` attribute name the
+orchestration layers (:class:`~repro.distributed.harness.
+DistributedGroup`, :class:`~repro.alm.reliable.ReliableSession`, whose
+default backend it is) address the loop by.  The committed golden
+traces (``tests/fixtures/trace_*.jsonl``), the fixed-seed oracle suite
+(``tools/check_invariants.py``) and the cross-backend conformance suite
+hold it to the same observable behaviour as every other backend.
 """
 
 from __future__ import annotations
 
+from ..net.eventloop import EventLoop
 from ..net.scheduling import SchedulingBackend, register_backend
 from ..net.topology import Topology
-from .engine import Simulator
 from .node import Network
 
 
 def simulator_backend(topology: Topology) -> SchedulingBackend:
-    """A fresh :class:`Simulator` plus a :class:`Network` bound to it."""
-    simulator = Simulator()
-    return SchedulingBackend("simulator", simulator, Network(simulator, topology))
+    """A fresh :class:`EventLoop` plus a :class:`Network` bound to it."""
+    loop = EventLoop()
+    return SchedulingBackend("simulator", loop, Network(loop, topology))
 
 
 register_backend("simulator", simulator_backend)

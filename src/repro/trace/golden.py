@@ -11,10 +11,9 @@ artifact, exactly like the fixed-seed oracle suite of
 
 Workloads:
 
-* :func:`rekey256_trace` — a 256-member GT-ITM group serving one plain
-  and one :class:`~repro.core.tmesh.SessionPlan` rekey multicast, plus
-  the batch rekey of its modified key tree (covers the ``tmesh`` and
-  ``keytree`` hooks).
+* :func:`rekey256_trace` — a 256-member GT-ITM group serving two rekey
+  multicasts over unchanged tables, plus the batch rekey of its
+  modified key tree (covers the ``tmesh`` and ``keytree`` hooks).
 * :func:`fig7_trace` — the Fig. 7 rekey-latency workload (GT-ITM, T-mesh
   vs NICE) through :func:`~repro.experiments.latency_experiments.
   run_latency_experiment`, replications distributed by a
@@ -41,16 +40,15 @@ GOLDEN_SEED = 7
 
 def rekey256_trace(seed: int = GOLDEN_SEED, users: int = REKEY_USERS) -> str:
     """Normalized trace of the fixed-seed 256-member rekey workload."""
-    from ..core.tmesh import plan_session, rekey_session
+    from ..core.tmesh import rekey_session
     from ..experiments.common import build_group, build_topology
     from ..keytree.modified_tree import ModifiedKeyTree
 
     with tracing(seed=seed, label=f"golden-rekey{users}") as ctx:
         topology = build_topology("gtitm", users, seed=seed)
         group = build_group(topology, users, seed=seed)
-        rekey_session(group.server_table, group.tables, topology)
-        plan = plan_session(group.server_table, group.tables)
-        rekey_session(group.server_table, group.tables, topology, plan=plan)
+        for _ in range(2):
+            rekey_session(group.server_table, group.tables, topology)
         tree = ModifiedKeyTree(group.scheme)
         for uid in sorted(group.records):
             tree.request_join(uid)

@@ -3,14 +3,13 @@
 A single module-level slot, :data:`ACTIVE`, holds the installed
 :class:`TraceContext` (or ``None``) — the exact discipline of
 :mod:`repro.verify.hooks`.  Instrumented call sites —
-:func:`repro.core.tmesh.run_multicast`, :class:`repro.core.tmesh.
-SessionPlan`, :meth:`repro.alm.reliable.ReliableSession.multicast`,
+:func:`repro.core.tmesh.run_multicast`,
+:meth:`repro.alm.reliable.ReliableSession.multicast`,
 :meth:`repro.keytree.modified_tree.ModifiedKeyTree.process_batch`,
-the ``run()`` of every :class:`repro.net.scheduling.Scheduler` backend
-(:meth:`repro.sim.engine.Simulator.run` and :meth:`repro.net.eventloop.
-EventLoop.run` emit the same ``sim.run`` span — the hook is keyed on
-the scheduling interface, not the simulator), :class:`repro.distributed.
-harness.DistributedGroup`, and :meth:`repro.experiments.parallel.
+:meth:`repro.net.eventloop.EventLoop.run` (every
+:class:`repro.net.scheduling.Scheduler` backend emits its ``sim.run``
+span — the hook is keyed on the scheduling interface),
+:class:`repro.distributed.harness.DistributedGroup`, and :meth:`repro.experiments.parallel.
 ParallelRunner.map` — read the slot once per session/run/batch and do
 nothing further when it is ``None``, so the bench lane pays one
 attribute load per *session*, never per event
@@ -164,7 +163,7 @@ class TraceContext:
     # ------------------------------------------------------------------
     # Observation points (called by the instrumented hot paths)
     # ------------------------------------------------------------------
-    def observe_session(self, session, topology, planned: bool = False) -> None:
+    def observe_session(self, session, topology) -> None:
         """Record one finished T-mesh session: a ``tmesh.session`` span
         with one ``tmesh.hop`` child per receipt (the delivering copy —
         Theorem 1 says exactly one per member), plus the transport
@@ -184,7 +183,6 @@ class TraceContext:
                 "members": len(receipts),
                 "edges": len(edges),
                 "duplicates": duplicates,
-                "planned": planned,
             },
         )
         registry = self.registry
@@ -218,8 +216,6 @@ class TraceContext:
         registry.inc("tmesh.messages_forwarded", len(edges))
         registry.inc("tmesh.duplicate_copies", duplicates)
         registry.inc("tmesh.receipts", len(receipts))
-        if planned:
-            registry.inc("tmesh.planned_sessions")
         if topology is not None and topology.has_rtt_matrix():
             # The dense RTT cache from repro.perf served this session's
             # per-hop delays.

@@ -2,8 +2,8 @@
 
 A single module-level slot, :data:`ACTIVE`, holds the installed
 :class:`VerificationContext` (or ``None``).  Instrumented call sites —
-:func:`repro.core.tmesh.run_multicast`, :class:`repro.core.tmesh.
-SessionPlan`, :class:`repro.distributed.harness.DistributedGroup`,
+:func:`repro.core.tmesh.run_multicast`,
+:class:`repro.distributed.harness.DistributedGroup`,
 :func:`repro.experiments.common.build_group` — read the slot once per
 session/group and do nothing further when it is ``None``, so the bench
 lane pays one attribute load per *session*, never per event.

@@ -7,8 +7,8 @@ each member has exactly one upstream forwarder, independent of network
 delays.  The reference implementation below exploits that: a naive BFS
 over the tables (no event queue, no heap, no fast-path tricks) computes
 the same receipts, overlay edges, forwarding levels, and arrival times
-that :func:`repro.core.tmesh.run_multicast` and
-:class:`repro.core.tmesh.SessionPlan` produce.  Any divergence means
+that :func:`repro.core.tmesh.run_multicast` produces on every compute
+backend.  Any divergence means
 either the tables were not 1-consistent or an optimized runner drifted
 from the paper's FORWARD semantics — exactly what a conformance gate
 must catch after hot-path rewrites.

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.faults import CrashWindow, FaultPlan, FaultStats
+from repro.net.eventloop import EventLoop
 from repro.net.planetlab import MatrixTopology
-from repro.sim import Network, Node, Simulator
+from repro.sim import Network, Node
 
 
 def drain(plan, sends, now=0.0):
@@ -151,7 +152,7 @@ class Collector(Node):
 
 
 def two_hosts(plan=None):
-    sim = Simulator()
+    sim = EventLoop()
     net = Network(sim, MatrixTopology(np.array([[0.0, 10.0], [10.0, 0.0]])))
     net.install_faults(plan)
     return sim, net, Collector(net, 0), Collector(net, 1)

@@ -75,10 +75,10 @@ def test_layering_regression_exits_two(tmp_path):
     (pkg / "alm" / "bad.py").write_text(
         textwrap.dedent(
             """
-            from repro.sim.engine import Simulator
+            from repro.sim import Network
 
-            def clock():
-                return Simulator().now
+            def wire(loop, topology):
+                return Network(loop, topology)
             """
         )
     )

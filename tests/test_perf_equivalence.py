@@ -1,8 +1,8 @@
 """Equivalence tests for the hot-path performance work.
 
 Every optimization in the perf overhaul — cached IDs, dense RTT
-matrices, batched Dijkstra, indexed session metrics, reusable session
-plans, batched table fills, and the parallel experiment runner — claims
+matrices, batched Dijkstra, indexed session metrics, batched table
+fills, and the parallel experiment runner — claims
 to be *semantically invisible*: same values, bit for bit, as the scalar
 or sequential code it replaces.  This module is where those claims are
 enforced, including under fault injection (``pytest -m faults``).
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.ids import Id, NULL_ID, PAPER_SCHEME
 from repro.core.neighbor_table import NeighborTable, UserRecord
-from repro.core.tmesh import plan_session, rekey_session, run_multicast
+from repro.core.tmesh import rekey_session, run_multicast
 from repro.experiments.common import build_group, build_topology
 from repro.experiments.latency_experiments import run_latency_experiment
 from repro.experiments.parallel import ParallelRunner, replication_seeds
@@ -259,7 +259,7 @@ def test_delays_from_many_matches_per_source_rows():
 
 
 # ----------------------------------------------------------------------
-# Session metrics: index vs scan, plan vs classic
+# Session metrics: index vs scan, fast vs general loop
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def small_world():
@@ -286,19 +286,6 @@ class TestSessionEquivalence:
         session.edges.append(session.edges[0]._replace(src=member))
         assert session.user_stress(member) == before + 1
         assert session.user_stress(member) == session.user_stress_scan(member)
-
-    def test_session_plan_identical_to_classic(self, small_world):
-        topology, group = small_world
-        classic = rekey_session(group.server_table, group.tables, topology)
-        plan = plan_session(group.server_table, group.tables)
-        for _ in range(2):  # plan reuse must not drift
-            planned = rekey_session(
-                group.server_table, group.tables, topology, plan=plan
-            )
-            assert list(planned.receipts) == list(classic.receipts)
-            assert planned.receipts == classic.receipts
-            assert planned.edges == classic.edges
-            assert planned.duplicate_copies == classic.duplicate_copies
 
     def test_classic_fast_and_general_drain_loops_agree(self, small_world):
         """run_multicast's fault-free fast path must equal the general
@@ -330,12 +317,9 @@ class TestComputeBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def numpy_backend(self):
-        from repro.compute import ComputeUnavailable, create_backend
+        from repro.compute import create_backend
 
-        try:
-            return create_backend("numpy")
-        except ComputeUnavailable:
-            pytest.skip("fast extra not installed")
+        return create_backend("numpy")
 
     def test_session_bitwise_identical(self, small_world, numpy_backend):
         topology, group = small_world
@@ -361,21 +345,6 @@ class TestComputeBackendEquivalence:
         assert clone.receipts == vec.receipts
         assert clone.edges == vec.edges
         assert clone.duplicate_copies == vec.duplicate_copies
-
-    def test_plan_replay_matches_classic_on_both_backends(
-        self, small_world, numpy_backend
-    ):
-        topology, group = small_world
-        classic = rekey_session(
-            group.server_table, group.tables, topology, compute="reference"
-        )
-        plan = plan_session(group.server_table, group.tables)
-        for backend in ("reference", numpy_backend):
-            replayed = plan.run(topology, compute=backend)
-            assert list(replayed.receipts) == list(classic.receipts)
-            assert replayed.receipts == classic.receipts
-            assert replayed.edges == classic.edges
-            assert replayed.duplicate_copies == classic.duplicate_copies
 
 
 # ----------------------------------------------------------------------

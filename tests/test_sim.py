@@ -1,16 +1,17 @@
-"""Tests for the discrete event simulator and message-passing nodes."""
+"""Tests for the discrete event loop and message-passing nodes."""
 
 import pytest
 
+from repro.net.eventloop import EventLoop
 from repro.net.planetlab import MatrixTopology
-from repro.sim import Network, Node, Simulator
+from repro.sim import Network, Node
 
 import numpy as np
 
 
 class TestSimulator:
     def test_events_run_in_time_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         sim.schedule(5.0, lambda: log.append("b"))
         sim.schedule(1.0, lambda: log.append("a"))
@@ -20,7 +21,7 @@ class TestSimulator:
         assert sim.now == 9.0
 
     def test_simultaneous_events_fifo(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         for i in range(5):
             sim.schedule(1.0, lambda i=i: log.append(i))
@@ -28,7 +29,7 @@ class TestSimulator:
         assert log == [0, 1, 2, 3, 4]
 
     def test_cancel(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         event = sim.schedule(1.0, lambda: log.append("x"))
         event.cancel()
@@ -36,7 +37,7 @@ class TestSimulator:
         assert log == []
 
     def test_run_until(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         sim.schedule(1.0, lambda: log.append(1))
         sim.schedule(10.0, lambda: log.append(10))
@@ -47,7 +48,7 @@ class TestSimulator:
         assert log == [1, 10]
 
     def test_max_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         for i in range(10):
             sim.schedule(i, lambda i=i: log.append(i))
@@ -55,7 +56,7 @@ class TestSimulator:
         assert log == [0, 1, 2]
 
     def test_nested_scheduling(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
 
         def first():
@@ -67,7 +68,7 @@ class TestSimulator:
         assert log == [("first", 1.0), ("second", 3.0)]
 
     def test_past_scheduling_rejected(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.schedule(5.0, lambda: sim.schedule(-1.0, lambda: None))
         with pytest.raises(ValueError):
             sim.run()
@@ -75,7 +76,7 @@ class TestSimulator:
             sim.schedule(-1.0, lambda: None)
 
     def test_pending_and_processed_counts(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.schedule(1.0, lambda: None)
         e = sim.schedule(2.0, lambda: None)
         e.cancel()
@@ -91,7 +92,7 @@ class TestSimulatorEdgeCases:
     def test_cancel_from_a_simultaneous_earlier_event(self):
         # A and B fire at the same time; A was scheduled first, so it runs
         # first and may still cancel B.
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         later = {}
         sim.schedule(1.0, lambda: (log.append("a"), later["b"].cancel()))
@@ -101,7 +102,7 @@ class TestSimulatorEdgeCases:
         assert sim.events_processed == 1
 
     def test_canceled_head_does_not_block_run(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         head = sim.schedule(1.0, lambda: log.append("head"))
         sim.schedule(2.0, lambda: log.append("tail"))
@@ -111,7 +112,7 @@ class TestSimulatorEdgeCases:
         assert sim.now == 5.0
 
     def test_run_with_only_canceled_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.schedule(1.0, lambda: None).cancel()
         sim.schedule(2.0, lambda: None).cancel()
         assert sim.run() == 0
@@ -121,7 +122,7 @@ class TestSimulatorEdgeCases:
     def test_zero_delay_self_rescheduling_is_fifo(self):
         # A zero-delay reschedule goes to the *back* of the same-time
         # cohort: other events already queued at that time run in between.
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         count = [0]
 
@@ -138,7 +139,7 @@ class TestSimulatorEdgeCases:
         assert sim.now == 1.0
 
     def test_max_events_bounds_a_zero_delay_loop(self):
-        sim = Simulator()
+        sim = EventLoop()
 
         def forever():
             sim.schedule(0.0, forever)
@@ -148,14 +149,14 @@ class TestSimulatorEdgeCases:
         assert sim.now == 1.0
 
     def test_schedule_at_current_time_allowed(self):
-        sim = Simulator()
+        sim = EventLoop()
         fired = []
         sim.schedule(2.0, lambda: sim.schedule_at(sim.now, lambda: fired.append(sim.now)))
         sim.run()
         assert fired == [2.0]
 
     def test_schedule_and_schedule_at_share_fifo_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         log = []
         sim.schedule(3.0, lambda: log.append("relative"))
         sim.schedule_at(3.0, lambda: log.append("absolute"))
@@ -182,7 +183,7 @@ def star_topology():
 
 class TestNetwork:
     def test_delivery_after_one_way_delay(self):
-        sim = Simulator()
+        sim = EventLoop()
         net = Network(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         a.send(1, "hello")
@@ -190,7 +191,7 @@ class TestNetwork:
         assert b.inbox == [(0, "hello", 5.0)]  # one-way = rtt/2
 
     def test_request_response(self):
-        sim = Simulator()
+        sim = EventLoop()
         net = Network(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         a.send(1, "ping")
@@ -198,7 +199,7 @@ class TestNetwork:
         assert a.inbox == [(1, "pong", 10.0)]
 
     def test_detach_drops_messages(self):
-        sim = Simulator()
+        sim = EventLoop()
         net = Network(sim, star_topology())
         a, b = EchoNode(net, 0), EchoNode(net, 1)
         b.detach()
@@ -207,20 +208,8 @@ class TestNetwork:
         assert b.inbox == []
         assert net.stats.dropped == 1
 
-    def test_drop_filter(self):
-        sim = Simulator()
-        net = Network(sim, star_topology())
-        a, b = EchoNode(net, 0), EchoNode(net, 1)
-        net.drop_filter = lambda src, dst, payload: payload == "bad"
-        a.send(1, "bad")
-        a.send(1, "good")
-        sim.run()
-        assert [p for _, p, _ in b.inbox] == ["good"]
-        assert net.stats.dropped == 1
-        assert net.stats.delivered == 1
-
     def test_double_attach_rejected(self):
-        sim = Simulator()
+        sim = EventLoop()
         net = Network(sim, star_topology())
         EchoNode(net, 0)
         with pytest.raises(ValueError):

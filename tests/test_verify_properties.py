@@ -21,7 +21,7 @@ from repro.alm.reliable import ReliabilityConfig, ReliableSession
 from repro.core.id_assignment import IdAssigner
 from repro.core.ids import Id, IdScheme
 from repro.core.membership import Group
-from repro.core.tmesh import data_session, plan_session, rekey_session, run_multicast
+from repro.core.tmesh import data_session, rekey_session, run_multicast
 from repro.experiments.common import _default_thresholds
 from repro.faults import FaultPlan
 from repro.keytree.modified_tree import ModifiedKeyTree
@@ -62,8 +62,9 @@ class TestSessionConformance:
         with verification(seed=seed) as ctx:
             rekey_session(server_table, tables, topology, processing_delay=0.001)
             data_session(ids[seed % len(ids)], tables, topology)
-            plan = plan_session(server_table, tables)
-            plan.run(topology, 0.001)
+            rekey_session(
+                server_table, tables, topology, 0.001, compute="numpy"
+            )
         assert ctx.sessions_checked == 3
         assert ctx.reports == []
 

@@ -8,49 +8,16 @@ commit — and alternates per workload so both sides see the same machine
 regime (shared hosts drift by tens of percent over minutes, which would
 otherwise contaminate the speedup figures).
 
-The worker prefers the tree's own :mod:`repro.perf.workloads`; on trees
-that predate the perf package it falls back to inline definitions of the
-same operations (the old tree is frozen, so the copies cannot diverge).
+Workloads come from the tree's own :mod:`repro.perf.workloads`.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
 import sys
-import time
 
 
-def _measure(fn, repeats, inner=1):
-    # GC paused around each timed call, mirroring repro.perf.workloads.
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    try:
-        for _ in range(repeats):
-            if gc_was_enabled:
-                gc.disable()
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                fn()
-            elapsed = time.perf_counter() - t0
-            if gc_was_enabled:
-                gc.enable()
-            times.append(elapsed / inner)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    med = statistics.median(times)
-    return {
-        "median_ms": med * 1e3,
-        "min_ms": min(times) * 1e3,
-        "ops_per_s": (1.0 / med) if med else None,
-        "repeats": repeats,
-    }
-
-
-def _native_registry():
+def _registry():
     from repro.perf.workloads import WORKLOADS, calibrate, measure
 
     ctx = {}
@@ -66,168 +33,8 @@ def _native_registry():
     return run, set(WORKLOADS)
 
 
-def _fallback_registry():
-    """Inline workload definitions for trees without repro.perf (the
-    pre-optimization baseline).  Operations and repeat counts mirror
-    repro.perf.workloads exactly."""
-    import numpy as np
-
-    from repro.core.ids import Id, PAPER_SCHEME
-    from repro.core.splitting import next_hop_needs, run_split_rekey
-    from repro.core.tmesh import rekey_session
-    from repro.experiments.common import build_group, build_topology
-    from repro.experiments.latency_experiments import run_latency_experiment
-    from repro.keytree.modified_tree import ModifiedKeyTree
-    from repro.keytree.original_tree import OriginalKeyTree
-
-    ctx = {}
-
-    def group(num_users, seed=20):
-        key = ("group", num_users, seed)
-        if key not in ctx:
-            topology = build_topology("gtitm", num_users, seed)
-            ctx[key] = (topology, build_group(topology, num_users, seed=seed))
-        return ctx[key]
-
-    def message128():
-        if "message128" not in ctx:
-            _, g = group(128)
-            tree = ModifiedKeyTree(g.scheme)
-            for uid in g.user_ids:
-                tree.request_join(uid)
-            tree.process_batch()
-            rng = np.random.default_rng(20)
-            for i in rng.choice(128, size=32, replace=False):
-                tree.request_leave(list(g.user_ids)[int(i)])
-            ctx["message128"] = tree.process_batch()
-        return ctx["message128"]
-
-    def setup_rekey_1024():
-        topology, g = group(1024)
-        return lambda: rekey_session(g.server_table, g.tables, topology)
-
-    def setup_tmesh_128():
-        topology, g = group(128)
-        return lambda: rekey_session(g.server_table, g.tables, topology)
-
-    def setup_split_predicate():
-        hop = Id([17, 3, 200, 9, 1])
-        eids = [Id([17, 3]), Id([18]), Id([17, 3, 200, 9, 1]), Id([])]
-
-        def pred():
-            hits = 0
-            for _ in range(250):
-                for e in eids:
-                    hits += next_hop_needs(e, hop, 2)
-            return hits
-
-        return pred
-
-    def setup_split_session():
-        topology, g = group(128)
-        message = message128()
-        session = rekey_session(g.server_table, g.tables, topology)
-        return lambda: run_split_rekey(session, message)
-
-    def setup_user_stress_sweep():
-        topology, g = group(1024)
-        session = rekey_session(g.server_table, g.tables, topology)
-
-        def sweep():
-            total = 0
-            for member in session.receipts:
-                total += session.user_stress(member)
-            return total
-
-        return sweep
-
-    def setup_modified_tree_batch():
-        ids = [Id([a, b, 0, 0, 0]) for a in range(16) for b in range(16)]
-
-        def batch():
-            tree = ModifiedKeyTree(PAPER_SCHEME)
-            for uid in ids:
-                tree.request_join(uid)
-            tree.process_batch()
-            for uid in ids[::4]:
-                tree.request_leave(uid)
-            return tree.process_batch().rekey_cost
-
-        return batch
-
-    def setup_original_tree_batch():
-        def batch():
-            tree = OriginalKeyTree(degree=4)
-            tree.initialize_balanced(list(range(256)))
-            for u in range(64):
-                tree.request_leave(u)
-            for j in range(64):
-                tree.request_join(f"n{j}")
-            return tree.process_batch(np.random.default_rng(0)).rekey_cost
-
-        return batch
-
-    def setup_id_assignment_join():
-        topology, g = group(128)
-
-        def one_join():
-            outcome = g.assigner.determine_prefix(
-                100,
-                topology.access_rtt(100),
-                topology,
-                g.query,
-                g.records[next(iter(g.records))],
-            )
-            return len(outcome.determined_prefix)
-
-        return one_join
-
-    def setup_fig7():
-        return lambda: run_latency_experiment(
-            "Fig 7", "gtitm", 256, mode="rekey", runs=2, seed=7
-        )
-
-    def setup_build_group_256():
-        return lambda: build_group(
-            build_topology("gtitm", 256, seed=20), 256, seed=20
-        )
-
-    registry = {
-        "rekey_session_1024": (setup_rekey_1024, 15),
-        "tmesh_session_128": (setup_tmesh_128, 15),
-        "split_predicate": (setup_split_predicate, 30),
-        "split_session": (setup_split_session, 15),
-        "user_stress_sweep_1024": (setup_user_stress_sweep, 7),
-        "modified_tree_batch": (setup_modified_tree_batch, 10),
-        "original_tree_batch": (setup_original_tree_batch, 10),
-        "id_assignment_join": (setup_id_assignment_join, 10),
-        "fig7_experiment": (setup_fig7, 3),
-        "build_group_256": (setup_build_group_256, 3),
-    }
-
-    def run(name):
-        if name == "calibrate":
-            def spin():
-                acc = 0
-                for i in range(200_000):
-                    acc += i * i
-                return acc
-
-            spin()
-            return _measure(spin, 11)
-        setup, repeats = registry[name]
-        fn = setup()
-        fn()
-        return _measure(fn, repeats)
-
-    return run, set(registry)
-
-
 def main() -> int:
-    try:
-        run, known = _native_registry()
-    except ImportError:
-        run, known = _fallback_registry()
+    run, known = _registry()
 
     print(json.dumps({"ready": True, "workloads": sorted(known)}), flush=True)
     for line in sys.stdin:

@@ -21,10 +21,11 @@ workload**, because timing on shared hosts drifts by tens of percent over
 minutes — alternating keeps each pre/post pair in the same machine
 regime, so the recorded speedups measure the code, not the weather.
 
-``--pre-tree`` points at the ``src/`` of a pre-optimization checkout
-(e.g. ``git worktree add /tmp/pre <seed-commit>`` then ``/tmp/pre/src``)
-and re-measures the baseline live; without it the embedded pre medians
-(measured against commit ``f09176b``) are used.  The workload definitions
+``--pre-tree`` points at the ``src/`` of an older checkout that has
+:mod:`repro.perf` (e.g. ``git clone . /tmp/pre`` at the parent commit,
+then ``/tmp/pre/src``) and re-measures the baseline live; workloads the
+older tree does not define get no pre column.  Without it the embedded
+pre medians (measured against commit ``f09176b``) are used.  The workload definitions
 live in :mod:`repro.perf.workloads` and are frozen so medians stay
 comparable; ``benchmarks/test_perf_regression.py`` guards the micro
 workloads against regressions relative to the committed file.
